@@ -25,6 +25,7 @@ from .nn import (
     sign_partition,
     validate_pattern,
 )
+from .solvers.result import SolverError
 from .solvers.simplex import StandardFormLP, solve_standard_form
 
 DEFAULT_SLACK = 1e-6
@@ -99,7 +100,8 @@ def _strict_system_lp(rows, n, slack, box=None):
     """LP ``max t`` s.t. sign*(normal.x + offset) >= t, slack <= t <= max(1, slack).
 
     Feasible iff every strict inequality can hold with margin ``slack``; the
-    solution is a well-centered witness.
+    solution is a well-centered witness.  Returns None when infeasible and
+    raises ``SolverError`` when the LP ends undecided.
     """
     m = len(rows)
     ntot = n + 1
@@ -124,11 +126,13 @@ def _strict_system_lp(rows, n, slack, box=None):
         A=m_A, b=b, c=np.concatenate([c, np.zeros(m)]), c0=0.0,
         lower=np.concatenate([lower, np.full(m, -np.inf)]),
         upper=np.concatenate([upper, np.zeros(m)]),
-        nstruct=ntot, slack_col=np.arange(ntot, ntot + m), senses=[">="] * m, sign=1.0,
+        slack_col=np.arange(ntot, ntot + m), sign=1.0,
     )
     out = solve_standard_form(sf)
-    if out.status != "optimal":
+    if out.status == "infeasible":
         return None
+    if out.status != "optimal":  # t is capped, so only the iteration limit gets here
+        raise SolverError(f"region LP ended with status {out.status!r}")
     return out.x[:n].copy()
 
 
@@ -272,8 +276,7 @@ def hull_contains_zero(hull: GeneralizedJacobianHull, target_rows,
     lower = np.zeros(ntot)
     upper = np.concatenate([np.ones(nv), np.full(2 * n, np.inf)])
     sf = StandardFormLP(A=A, b=b, c=c, c0=0.0, lower=lower, upper=upper,
-                        nstruct=ntot, slack_col=np.full(n + 1, -1, dtype=int),
-                        senses=["="] * (n + 1), sign=1.0)
+                        slack_col=np.full(n + 1, -1, dtype=int), sign=1.0)
     out = solve_standard_form(sf)
     if out.status != "optimal":  # pragma: no cover - always feasible by construction
         raise RuntimeError("hull membership LP failed")

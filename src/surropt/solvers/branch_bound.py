@@ -75,6 +75,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
     seq = 1
     explored = 0
     limit_hit = False
+    lost_bound = math.inf  # parent bounds of nodes whose relaxation hit a limit
     while nodes:
         if explored >= max_nodes or (time_limit and time.monotonic() - t0 > time_limit):
             limit_hit = True
@@ -94,6 +95,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
             return SolveResult(status=Status.UNBOUNDED, iterations=explored)
         if status == "limit":
             limit_hit = True
+            lost_bound = min(lost_bound, bound0)
             continue
         if bound >= incumbent - gap_tol:
             continue
@@ -114,7 +116,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
             seq += 1
 
     open_bound = min((b for b, _, _, _ in nodes), default=incumbent)
-    best_bound = min(incumbent, open_bound)
+    best_bound = min(incumbent, open_bound, lost_bound)
     res = SolveResult(status=Status.INFEASIBLE, iterations=explored, nodes=explored)
     if incumbent_x is not None:
         res.point = {vid: float(incumbent_x[vid]) for vid in range(model.num_variables)}

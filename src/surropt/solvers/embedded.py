@@ -11,7 +11,7 @@ phenomenon this formulation is known for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -93,11 +93,8 @@ class PolytopeRegion:
         c = np.zeros(sf.A.shape[1])
         c[: self._n] = -2.0 * p
         quad = tuple((j, j, 1.0) for j in range(self._n))
-        sf2 = type(sf)(A=sf.A, b=sf.b, c=c, c0=float(p @ p), lower=sf.lower,
-                       upper=sf.upper, nstruct=sf.nstruct, slack_col=sf.slack_col,
-                       senses=sf.senses, sign=1.0)
-        out = solve_fw_standard_form(sf2, quad, tol=self.gap_tol,
-                                     max_iter=self.max_iter)
+        out = solve_fw_standard_form(replace(sf, c=c, c0=float(p @ p), sign=1.0), quad,
+                                     tol=self.gap_tol, max_iter=self.max_iter)
         if out is None:
             raise ValueError("projection region is infeasible")
         return out[0][: self._n].copy()

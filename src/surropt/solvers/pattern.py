@@ -69,17 +69,20 @@ def _point_satisfies(x, lower, upper, tol=1e-9):
 
 
 def _solve_branch(sf, quad, lower, upper, fw_tol):
-    """Objective solve in min space: (value, x) or None if infeasible."""
+    """Objective solve in min space: (status, value, x), x None unless optimal."""
     if quad:
         out = solve_fw_standard_form(sf, quad, lower, upper, tol=fw_tol)
         if out is None:
-            return None
+            return "infeasible", math.inf, None
         x, val, gap = out
-        return val, x
+        return "optimal", val, x
     out = solve_standard_form(sf, lower=lower, upper=upper)
     if out.status != "optimal":
-        return None
-    return out.obj, out.x
+        return out.status, math.inf, None
+    return "optimal", out.obj, out.x
+
+
+_LOST = {"limit": Status.LIMIT, "unbounded": Status.UNBOUNDED}
 
 
 def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
@@ -100,12 +103,15 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
     zero_c = np.zeros(sf.A.shape[1])
     best = [math.inf, None, None]  # min-space value, x, active set
     flags: list = []
+    lost = set()  # statuses of LPs that ended neither optimal nor infeasible
 
     def descend(k, lower, upper, witness):
         if k == len(neurons):
-            out = _solve_branch(sf, quad, lower, upper, fw_tol)
-            if out is not None and out[0] < best[0] - 1e-12:
-                best[0], best[1] = out
+            status, val, x = _solve_branch(sf, quad, lower, upper, fw_tol)
+            if status in _LOST:
+                lost.add(status)
+            elif status == "optimal" and val < best[0] - 1e-12:
+                best[0], best[1] = val, x
                 best[2] = {lab for (lab, *_), act in zip(neurons, flags) if act}
             return
         for active in (True, False):
@@ -117,17 +123,24 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
             if witness is None or not _point_satisfies(witness, lo2, up2):
                 feas = solve_standard_form(sf, c_min=zero_c, lower=lo2, upper=up2)
                 wit2 = feas.x if feas.status == "optimal" else None
+                if feas.status in _LOST:
+                    lost.add(feas.status)  # the subtree is unexplored, not empty
             if wit2 is not None:
                 descend(k + 1, lo2, up2, wit2)
             flags.pop()
 
     descend(0, sf.lower.copy(), sf.upper.copy(), None)
+    if "unbounded" in lost:
+        return SolveResult(status=Status.UNBOUNDED)
     if best[1] is None:
-        return SolveResult(status=Status.INFEASIBLE)
+        return SolveResult(status=Status.LIMIT if lost else Status.INFEASIBLE)
     x = best[1]
     point = {vid: float(x[vid]) for vid in range(model.num_variables)}
     pattern = frozenset(nid for _, nid in best[2])
     obj = sf.sign * best[0]
+    if lost:  # the best leaf seen so far; unexplored leaves may beat it
+        return SolveResult(status=Status.LIMIT, point=point, objective=obj,
+                           pattern=pattern)
     return SolveResult(status=Status.OPTIMAL, point=point, objective=obj,
                        best_bound=obj, pattern=pattern)
 
@@ -180,20 +193,28 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
         return _solve_branch(sf, quad, lo, up, fw_tol)
 
     cur = solve_pattern(active)
-    if cur is None:
+    if cur is None or cur[0] == "infeasible":
         raise NoFeasibleStartError("starting pattern has an empty subproblem")
     subproblems = 1
+    unjudged = False  # a flip of the last round whose LP hit a limit
     for _ in range(max_rounds):
-        val, x = cur
+        if cur[0] in _LOST:
+            return SolveResult(status=_LOST[cur[0]], nodes=subproblems,
+                               pattern=frozenset(nid for _, nid in active))
+        _, val, x = cur
         boundary = [n for n in neurons
                     if x[n[1]] <= boundary_tol and x[n[2]] <= boundary_tol]
-        improved = False
+        improved = unjudged = False
         for neuron in boundary:
             lab = neuron[0]
             flipped = (active - {lab}) if lab in active else (active | {lab})
             out = solve_pattern(flipped)
             subproblems += 1
-            if out is not None and out[0] < val - improve_tol:
+            if out is None or out[0] == "infeasible":
+                continue
+            if out[0] == "limit":
+                unjudged = True
+            elif out[0] == "unbounded" or out[1] < val - improve_tol:
                 active, cur = flipped, out
                 improved = True
                 break
@@ -218,7 +239,8 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
 
         res = lp_solve(final.freeze())
     if res.status == Status.OPTIMAL:
-        res.status = Status.FEASIBLE  # locally optimal, no global bound claimed
+        # locally optimal, no global bound claimed; unverified if a flip hit a limit
+        res.status = Status.LIMIT if unjudged else Status.FEASIBLE
         res.best_bound = math.nan
     res.nodes = subproblems
     res.pattern = frozenset(nid for _, nid in active)
@@ -228,15 +250,13 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
 
 
 def _stationarity_residual(model, handles, res, net):
-    """Best-effort strong-stationarity residual from the final subproblem duals."""
+    """Strong-stationarity residual from the final subproblem duals; NaN when
+    the model is richer than the multiplier extraction maps."""
     from .. import stationarity
 
-    try:
-        ex = stationarity.extract_mpcc_multipliers(model, handles, res, net)
-        if ex is None:
-            return math.nan
-        report = stationarity.check_strong_stationarity(
-            net, ex.point, ex.f, ex.c, mu=ex.mu, nu1=ex.nu1, nu2=ex.nu2)
-        return report.max_residual
-    except Exception:
+    ex = stationarity.extract_mpcc_multipliers(model, handles, res, net)
+    if ex is None:
         return math.nan
+    report = stationarity.check_strong_stationarity(
+        net, ex.point, ex.f, ex.c, mu=ex.mu, nu1=ex.nu1, nu2=ex.nu2)
+    return report.max_residual

@@ -1,9 +1,14 @@
 """Dense two-phase primal simplex over bounded variables.
 
-Deliberately dense and factorization-per-iteration: the problems this package
-builds are desk scale (hundreds of rows), and a simplex whose every step can
-be audited beats a fast one here.  Dantzig pricing with a permanent switch to
-Bland's rule once degenerate pivots pile up gives finite termination.
+Deliberately dense: the problems this package builds are desk scale (hundreds
+of rows).  The pivot loop keeps an explicit basis inverse and applies a
+rank-1 (product-form, eta) update after each basis change, so a pivot costs a
+few matrix-vector products; the inverse is recomputed from scratch every
+``REFACTOR_EVERY`` basis changes, whenever an update looks numerically unsafe,
+and before the loop reports optimality (Forrest & Tomlin 1972; Bixby 2002).
+Duals and the final point come from a fresh LU factorization.  Dantzig
+pricing with a permanent switch to Bland's rule once degenerate pivots pile
+up gives finite termination.
 """
 
 from __future__ import annotations
@@ -22,9 +27,15 @@ INF = float("inf")
 FEAS_TOL = 1e-8
 OPT_TOL = 1e-8
 PIV_TOL = 1e-9
+# basis changes between fresh inverses; an eta pivot below ETA_TOL (relative
+# to the entering column) refactors at once
+REFACTOR_EVERY = 50
+ETA_TOL = 1e-7
 
-# nonbasic variable states
+# nonbasic variable states, and by state whether the variable may rise or fall
 AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
+_CAN_RISE = np.array([True, False, True, False])
+_CAN_FALL = np.array([False, True, True, False])
 
 
 @dataclass
@@ -37,9 +48,7 @@ class StandardFormLP:
     c0: float
     lower: np.ndarray
     upper: np.ndarray
-    nstruct: int  # structural variables come first, then one slack per inequality
     slack_col: np.ndarray  # per row: slack column index, -1 for equalities
-    senses: list
     sign: float  # +1 for min models, -1 for max (already folded into c, c0)
 
 
@@ -57,13 +66,11 @@ def standard_form(model: Model) -> StandardFormLP:
         lower[var.id] = var.lower
         upper[var.id] = var.upper
     slack_col = np.full(m, -1, dtype=int)
-    senses = []
     k = n
     for r, con in enumerate(model.constraints):
         for vid, coef in con.expr.terms.items():
             A[r, vid] = coef
         b[r] = con.rhs - con.expr.constant
-        senses.append(con.sense)
         if con.sense != EQ:
             A[r, k] = 1.0
             if con.sense == LE:
@@ -77,7 +84,7 @@ def standard_form(model: Model) -> StandardFormLP:
     for vid, coef in model.objective.linear.terms.items():
         c[vid] = sign * coef
     c0 = sign * model.objective.linear.constant
-    return StandardFormLP(A, b, c, c0, lower, upper, n, slack_col, senses, sign)
+    return StandardFormLP(A, b, c, c0, lower, upper, slack_col, sign)
 
 
 @dataclass
@@ -139,6 +146,8 @@ class _Tableau:
         self.bland = False
         self._degen = 0
         self.pi = np.zeros(m)
+        self.Binv = None  # explicit basis inverse, eta-updated between refactors
+        self._etas = 0  # eta updates since the last fresh inverse
 
     def _factor(self):
         B = self.A[:, self.basis]
@@ -154,67 +163,118 @@ class _Tableau:
         if not np.isfinite(xb).all():
             raise NumericalError("singular basis during refactorization")
         self.x[self.basis] = xb
-        return xb
+
+    def _invert(self):
+        """Fresh explicit basis inverse, and the basic values recomputed from it."""
+        try:
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"basis inversion failed: {exc}") from exc
+        if not np.isfinite(self.Binv).all():
+            raise NumericalError("singular basis during refactorization")
+        self._etas = 0
+        self._recompute_basics()
+
+    def _refresh(self):
+        """A fresh inverse if eta updates were applied, then fresh basic values."""
+        if self.Binv is None or self._etas:
+            self._invert()
+        else:
+            self._recompute_basics()
+
+    def _recompute_basics(self):
+        xn = self.x.copy()
+        xn[self.basis] = 0.0
+        xb = self.Binv @ (self.b - self.A @ xn)
+        if not np.isfinite(xb).all():
+            raise NumericalError("singular basis during refactorization")
+        self.x[self.basis] = xb
+
+    def _replace(self, k, q, u):
+        """Basis position k now holds column q (u = B^-1 a_q): eta-update B^-1."""
+        self.basis[k] = q
+        self.state[q] = BASIC
+        uk = u[k]
+        row = self.Binv[k] / uk
+        self.Binv -= u[:, None] * row
+        self.Binv[k] = row
+        self._etas += 1
+        if self._etas >= REFACTOR_EVERY or abs(uk) < ETA_TOL * np.abs(u).max():
+            self._invert()
 
     def run(self, c, maxiter):
-        """Iterate to optimality for costs c; returns 'optimal'|'unbounded'|'limit'."""
+        """Iterate to optimality for costs c; returns 'optimal'|'unbounded'|'limit'.
+
+        Basic values are updated in place between fresh inverses; before it
+        reports 'optimal' or 'unbounded' after any such update, the loop
+        refactors and prices once more, so drift cannot end the solve.
+        """
         m = self.m
+        movable = self.lower < self.upper
+        self._refresh()
+        fresh = True
         while True:
             if self.iterations >= maxiter:
                 return "limit"
-            lu = self._factor()
-            xb = self._refresh_basics(lu)
-            self.pi = lu_solve(lu, c[self.basis], trans=1, check_finite=False)
-            d = c - self.A.T @ self.pi
-            movable = self.lower < self.upper
-            up_score = np.where((self.state == AT_LOWER) | (self.state == FREE), -d, -INF)
-            dn_score = np.where((self.state == AT_UPPER) | (self.state == FREE), d, -INF)
-            score = np.maximum(up_score, dn_score)
-            score[~movable] = -INF
-            score[self.state == BASIC] = -INF
+            self.pi = c[self.basis] @ self.Binv
+            d = c - self.pi @ self.A
+            st = self.state
+            up_ok = movable & _CAN_RISE[st]
+            dn_ok = movable & _CAN_FALL[st]
+            score = np.maximum(np.where(up_ok, -d, -INF), np.where(dn_ok, d, -INF))
             if self.bland:
                 eligible = np.flatnonzero(score > OPT_TOL)
-                if eligible.size == 0:
-                    return "optimal"
-                q = int(eligible[0])
+                q = int(eligible[0]) if eligible.size else -1
             else:
                 q = int(np.argmax(score))
                 if score[q] <= OPT_TOL:
-                    return "optimal"
-            delta = 1.0 if up_score[q] >= dn_score[q] else -1.0
-            u = lu_solve(lu, self.A[:, q], check_finite=False)
+                    q = -1
+            if q < 0:
+                if not fresh:
+                    self._refresh()
+                    fresh = True
+                    continue
+                return "optimal"
+            delta = 1.0 if up_ok[q] and (not dn_ok[q] or d[q] <= 0.0) else -1.0
+            u = self.Binv @ self.A[:, q]
             if not np.isfinite(u).all():
+                if not fresh:
+                    self._refresh()
+                    fresh = True
+                    continue
                 raise NumericalError("singular basis in ratio test")
-            # ratio test: entering moves by t >= 0 in direction delta
+            xb = self.x[self.basis]
+            # ratio test: entering moves by t >= 0 in direction delta; each
+            # basic variable blocks at the bound it moves toward (NaN: never)
             denom = delta * u
-            ratios = np.full(m, INF)
-            dec = denom > PIV_TOL
-            low = self.lower[self.basis]
-            upp = self.upper[self.basis]
-            with np.errstate(invalid="ignore"):
-                ratios[dec] = np.where(np.isfinite(low[dec]),
-                                       (xb[dec] - low[dec]) / denom[dec], INF)
-                inc = denom < -PIV_TOL
-                ratios[inc] = np.where(np.isfinite(upp[inc]),
-                                       (xb[inc] - upp[inc]) / denom[inc], INF)
-            ratios = np.maximum(ratios, 0.0)
+            bound = np.where(denom > PIV_TOL, self.lower[self.basis],
+                             np.where(denom < -PIV_TOL, self.upper[self.basis], np.nan))
+            ratios = (xb - bound) / denom
+            ratios[np.isnan(ratios)] = INF
+            np.maximum(ratios, 0.0, out=ratios)
             t_basic = float(ratios.min()) if m else INF
-            if self.state[q] == FREE:
+            if st[q] == FREE:
                 t_cap = INF
             else:
                 span = self.upper[q] - self.lower[q]
                 t_cap = span if np.isfinite(span) else INF
             t = min(t_basic, t_cap)
             if t == INF:
+                if not fresh:
+                    self._refresh()
+                    fresh = True
+                    continue
                 return "unbounded"
             self.iterations += 1
             self._degen = self._degen + 1 if t <= 1e-10 else 0
             if self._degen > 200:
                 self.bland = True
+            self.x[self.basis] = xb - (delta * t) * u
+            self.x[q] += delta * t
+            fresh = False
             if t_cap <= t_basic:
                 # bound flip, basis unchanged
-                self.x[q] += delta * t
-                self.state[q] = AT_UPPER if self.state[q] == AT_LOWER else AT_LOWER
+                st[q] = AT_UPPER if st[q] == AT_LOWER else AT_LOWER
                 continue
             ties = np.flatnonzero(ratios <= t_basic + 1e-12)
             if self.bland:
@@ -222,11 +282,10 @@ class _Tableau:
             else:
                 k = int(ties[np.argmax(np.abs(u[ties]))])
             leave = self.basis[k]
-            self.x[q] += delta * t
             self.x[leave] = self.lower[leave] if denom[k] > 0 else self.upper[leave]
-            self.state[leave] = AT_LOWER if denom[k] > 0 else AT_UPPER
-            self.basis[k] = q
-            self.state[q] = BASIC
+            st[leave] = AT_LOWER if denom[k] > 0 else AT_UPPER
+            self._replace(k, q, u)
+            fresh = self._etas == 0
 
     def drive_out_artificials(self, feas_tol):
         """After phase 1: pivot artificials out of the basis or pin redundant rows."""
@@ -237,20 +296,15 @@ class _Tableau:
             j = self.basis[k]
             if j < art_start:
                 continue
-            lu = self._factor()
-            e = np.zeros(self.m)
-            e[k] = 1.0
-            psi = lu_solve(lu, e, trans=1, check_finite=False)
-            row = psi @ self.A[:, :art_start]
+            row = self.Binv[k] @ self.A[:, :art_start]
             candidates = np.flatnonzero(
                 (np.abs(row) > 1e-7) & (self.state[:art_start] != BASIC)
             )
             if candidates.size:
                 enter = int(candidates[np.argmax(np.abs(row[candidates]))])
-                self.basis[k] = enter
-                self.state[enter] = BASIC
                 self.state[j] = AT_LOWER
                 self.x[j] = 0.0
+                self._replace(k, enter, self.Binv @ self.A[:, enter])
         # artificials may never move again
         self.lower[art_start:] = 0.0
         self.upper[art_start:] = 0.0

@@ -510,7 +510,7 @@ class MpccExtraction:
     f: SmoothObjective
     c: SmoothConstraints | None
     point: tuple
-    constraint_rows: list  # model constraint indices behind the mu entries
+    constraint_rows: list  # model constraint index per mu entry, None for an input-box row
 
 
 def extract_mpcc_multipliers(model: Model, handles, result, net: Network,
@@ -520,6 +520,9 @@ def extract_mpcc_multipliers(model: Model, handles, result, net: Network,
     Works for plain min-sense embeddings built by the encoders (neuron rows
     tagged ``relu[l][i]``) whose remaining rows touch only the embedding's
     inputs and outputs; returns None when the model is richer than that.
+    Finite bounds on the inputs become rows ``x <= ub`` and ``-x <= -lb`` of
+    ``c``, after the model's own rows, with the input reduced costs as their
+    multipliers.
     """
     if isinstance(handles, (list, tuple)):
         if len(handles) != 1:
@@ -577,6 +580,16 @@ def extract_mpcc_multipliers(model: Model, handles, result, net: Network,
             rows_cx.append(-cx); rows_cy.append(-cy); rows_d.append(-offs)
             mu_vals.append(dual)
         row_ids.append(r)
+    for j, vid in enumerate(inputs):
+        var = model.variables[vid]
+        rc = result.reduced_costs.get(vid, 0.0)
+        for s, bound in ((1.0, var.upper), (-1.0, var.lower)):
+            if math.isfinite(bound):
+                cx = np.zeros(nin)
+                cx[j] = s
+                rows_cx.append(cx); rows_cy.append(np.zeros(nout)); rows_d.append(s * bound)
+                mu_vals.append(max(0.0, -s * rc))
+                row_ids.append(None)
 
     fx = np.zeros(nin)
     fy = np.zeros(nout)

@@ -211,3 +211,24 @@ def test_vertex_gradients_match_fixed_pattern_chain(rng):
     for pattern, J in hull.vertices:
         A, _ = affine_piece(net, pattern)
         np.testing.assert_allclose(gx + J.T @ gy, gx + A.T @ gy, atol=1e-12)
+
+
+def test_criterion_one_pool_certifies_at_the_global_optimum():
+    # the pool's encoders give the input box as variable bounds; its
+    # multipliers come from the input reduced costs
+    from surropt.solvers.branch_bound import milp_solve
+    from test_acceptance import _instance_pool
+
+    for net, build, d in _instance_pool():
+        mm, mh, _ = build("mip")
+        opt = milp_solve(mm)
+        x_star = [opt.point[v] for v in mh.input_vars]
+        m, h, _ = build("mpcc")
+        res = mpcc_local_solve(m, h, net=net, start_pattern=sign_partition(net, x_star).active)
+        assert res.objective == pytest.approx(opt.objective, abs=1e-9)
+        ex = st.extract_mpcc_multipliers(m, h, res, net)
+        assert ex.mu.shape == (2 * d,) and ex.constraint_rows == [None] * (2 * d)
+        report = st.check_strong_stationarity(net, ex.point, ex.f, ex.c,
+                                              mu=ex.mu, nu1=ex.nu1, nu2=ex.nu2)
+        assert report.accepted and report.max_residual <= 1e-9
+        assert res.kkt_residual == report.max_residual
