@@ -54,18 +54,18 @@ def _load_net_arg(args) -> Network:
     return sio.load_network(args.net)
 
 
-def _build_problem(bundle, formulation, tighten, bounds_path, threads):
+def _build_problem(bundle, formulation, tighten, bounds_path):
     if bundle.kind == "engine":
         bounds = None
         if formulation == MIP:
             bounds = sio.cached_tighten(bundle.spec.net, bundle.spec.input_box(),
-                                        TIGHTEN_MODES[tighten], bounds_path, threads)
+                                        TIGHTEN_MODES[tighten], bounds_path)
         return build_engine(bundle.spec, formulation, bounds=bounds)
     if bundle.kind == "attack":
         bounds = None
         if formulation == MIP:
             bounds = sio.cached_tighten(bundle.spec.net, bundle.spec.pixel_box(),
-                                        TIGHTEN_MODES[tighten], bounds_path, threads)
+                                        TIGHTEN_MODES[tighten], bounds_path)
         return build_attack(bundle.spec, formulation, bounds=bounds)
     return build_oilwell(bundle.spec, formulation)
 
@@ -85,8 +85,7 @@ def cmd_encode(args) -> int:
             raise SystemExit("--hull applies to engine problems")
         bundle.spec.hull_points = sio.load_training(args.hull).data[:, :3]
     bounds_path = args.output + ".bounds.json"
-    model, _ = _build_problem(bundle, args.formulation, args.tighten,
-                              bounds_path, args.threads)
+    model, _ = _build_problem(bundle, args.formulation, args.tighten, bounds_path)
     sio.export_lp(model, args.output, allow_lossy=args.allow_lossy)
     payload = {
         "model": args.output,
@@ -220,8 +219,7 @@ def cmd_solve(args) -> int:
                 args.formulation == "auto" else (
                     MIP if args.formulation == "auto" else args.formulation)
             bounds_path = args.problem + ".bounds.json"
-            model, handles = _build_problem(bundle, formulation, args.tighten,
-                                            bounds_path, args.threads)
+            model, handles = _build_problem(bundle, formulation, args.tighten, bounds_path)
             emb = _problem_embeddings(bundle, handles)
             warm = None
             if args.warmstart:
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for generated networks")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for bound tightening")
     p = argparse.ArgumentParser(
         prog="surropt", parents=[common],
         description="Optimization over trained ReLU/swish network surrogates.")
@@ -414,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("SURROPT_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    for name, fallback in (("json", False), ("seed", 0), ("threads", 1)):
+    for name, fallback in (("json", False), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, fallback)
     try:

@@ -8,7 +8,6 @@ runs so exports diff cleanly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,7 +262,7 @@ def _expr(terms, constant):
 
 
 def tighten_bounds(net: Network, box, mode: str = LP_RELAX,
-                   per_solve_limit: int = 200000, threads: int = 1) -> BigMBounds:
+                   per_solve_limit: int = 200000) -> BigMBounds:
     """Optimality-based bound tightening, strictly layer by layer.
 
     Each neuron's preactivation is maximized (then minimized) over the
@@ -283,15 +282,8 @@ def tighten_bounds(net: Network, box, mode: str = LP_RELAX,
     bounds = interval_bounds(net, box)
     tightened = BigMBounds(dict(bounds.my), dict(bounds.ms), mode)
     for li, lay in enumerate(net.hidden_layers):
-        jobs = [(li, i) for i in range(lay.fan_out)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(
-                    lambda ji: _tighten_neuron(net, box, tightened, ji[0], ji[1],
-                                               mode, per_solve_limit), jobs))
-        else:
-            rows = [_tighten_neuron(net, box, tightened, li, i, mode, per_solve_limit)
-                    for li, i in jobs]
+        rows = [_tighten_neuron(net, box, tightened, li, i, mode, per_solve_limit)
+                for i in range(lay.fan_out)]
         # layer barrier: commit the whole layer before moving downstream
         for nid, my, ms in rows:
             tightened.my[nid] = my

@@ -425,7 +425,7 @@ def load_bounds_cache(path):
         raise FormatError(f"{path}: bad bounds cache: {exc}") from exc
 
 
-def cached_tighten(net: Network, box, mode: str, path, threads: int = 1):
+def cached_tighten(net: Network, box, mode: str, path):
     """Bounds from the sidecar cache when its content hash matches, else compute."""
     from .encoders import INTERVAL, interval_bounds, tighten_bounds
 
@@ -440,7 +440,7 @@ def cached_tighten(net: Network, box, mode: str, path, threads: int = 1):
     if mode == INTERVAL:
         bounds = interval_bounds(net, box)
     else:
-        bounds = tighten_bounds(net, box, mode=mode, threads=threads)
+        bounds = tighten_bounds(net, box, mode=mode)
     if path:
         save_bounds_cache(bounds, key, path)
     return bounds

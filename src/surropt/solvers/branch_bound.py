@@ -14,29 +14,13 @@ import time
 import numpy as np
 
 from ..model import BINARY, Model
-from .frank_wolfe import solve_fw_standard_form
+from .frank_wolfe import solve_relaxation
 from .result import SolveResult, Status
-from .simplex import solve_standard_form, standard_form
+from .simplex import standard_form
 
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
 FEAS_TOL = 1e-6
-
-
-def _node_solve(sf, quad, lower, upper, fw_tol):
-    """Relaxation solve in min space; returns (status, x, value, bound)."""
-    if quad:
-        out = solve_fw_standard_form(sf, quad, lower, upper, tol=fw_tol)
-        if out is None:
-            return "infeasible", None, math.inf, math.inf
-        x, val, gap = out
-        return "optimal", x, val, val - gap
-    out = solve_standard_form(sf, lower=lower, upper=upper)
-    if out.status == "optimal":
-        return "optimal", out.x, out.obj, out.obj
-    if out.status == "infeasible":
-        return "infeasible", None, math.inf, math.inf
-    return out.status, None, math.inf, -math.inf
 
 
 def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
@@ -51,7 +35,6 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
     if model.complementarities:
         raise ValueError("milp_solve does not accept complementarity pairs")
     sf = standard_form(model)
-    quad = tuple((i, j, sf.sign * c) for i, j, c in model.objective.quadratic)
     bin_ids = np.array([v.id for v in model.variables
                         if v.kind == BINARY and v.lower < v.upper], dtype=int)
     sign = sf.sign
@@ -88,7 +71,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         if bound0 >= incumbent - gap_tol:
             continue
         explored += 1
-        status, x, val, bound = _node_solve(sf, quad, lo, up, fw_tol)
+        status, x, val, gap, _ = solve_relaxation(sf, lo, up, tol=fw_tol)
         if status == "infeasible":
             continue
         if status == "unbounded":
@@ -97,6 +80,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
             limit_hit = True
             lost_bound = min(lost_bound, bound0)
             continue
+        bound = val - gap
         if bound >= incumbent - gap_tol:
             continue
         frac = np.abs(x[bin_ids] - np.round(x[bin_ids])) if bin_ids.size else np.empty(0)

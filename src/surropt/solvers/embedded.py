@@ -86,18 +86,18 @@ class PolytopeRegion:
         return self._n
 
     def project(self, p):
-        from .frank_wolfe import solve_fw_standard_form
+        from .frank_wolfe import solve_relaxation
 
         p = np.asarray(p, dtype=float).reshape(-1)
         sf = self._sf
         c = np.zeros(sf.A.shape[1])
         c[: self._n] = -2.0 * p
         quad = tuple((j, j, 1.0) for j in range(self._n))
-        out = solve_fw_standard_form(replace(sf, c=c, c0=float(p @ p), sign=1.0), quad,
-                                     tol=self.gap_tol, max_iter=self.max_iter)
-        if out is None:
-            raise ValueError("projection region is infeasible")
-        return out[0][: self._n].copy()
+        out = solve_relaxation(replace(sf, c=c, c0=float(p @ p), sign=1.0, quad=quad),
+                               tol=self.gap_tol, max_iter=self.max_iter)
+        if out.status != "optimal":
+            raise ValueError(f"projection onto the region failed: its LP is {out.status}")
+        return out.x[: self._n].copy()
 
 
 def _dnn_jacobian(net: Network, x, tol):

@@ -1,19 +1,32 @@
-"""Frank-Wolfe (conditional gradient) for convex quadratic objectives over
-polyhedra, with the package simplex as the linear-minimization oracle and
-exact line search; the duality gap certifies suboptimality."""
+"""Relaxation solves: the package simplex for linear objectives, Frank-Wolfe
+(conditional gradient) for convex quadratic ones, with the simplex as the
+linear-minimization oracle and exact line search; the duality gap certifies
+suboptimality."""
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ..model import Model
 from .result import SolveResult, Status
-from .simplex import solve_standard_form, standard_form
+from .simplex import (_STATUS_MAP, SimplexOut, result_from_simplex, solve_standard_form,
+                      standard_form)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 100000
+
+
+class Relaxation(NamedTuple):
+    """One relaxation solve in min space; x is None and value inf unless optimal."""
+
+    status: str  # optimal | infeasible | unbounded | limit
+    x: np.ndarray | None
+    value: float
+    gap: float  # Frank-Wolfe duality gap: value - gap bounds the optimum
+    lp: SimplexOut | None  # the simplex output of a linear objective
 
 
 def _quad_value(quad, x):
@@ -31,45 +44,59 @@ def _quad_grad(quad, x, out):
     return out
 
 
-def solve_fw_standard_form(sf, quad, lower=None, upper=None, tol=DEFAULT_TOL,
-                           max_iter=DEFAULT_MAX_ITER, start=None):
-    """Min-space Frank-Wolfe on a standard-form polytope.
+def solve_relaxation(sf, lower=None, upper=None, tol=DEFAULT_TOL,
+                     max_iter=DEFAULT_MAX_ITER, start=None) -> Relaxation:
+    """Minimize ``sf.c`` plus the quadratic terms ``sf.quad`` over the polytope.
 
-    Returns (x, value, gap) or None when the region is infeasible.  ``quad``
-    holds min-space quadratic terms; the linear part lives in ``sf.c``.
+    A linear objective is one simplex solve.  A quadratic one runs Frank-Wolfe
+    from ``start`` (else a feasible vertex) until the gap is at most ``tol`` or
+    ``max_iter`` steps are spent; an LP that hits its limit ends it as "limit".
     """
+    if not sf.quad:
+        out = solve_standard_form(sf, lower=lower, upper=upper)
+        if out.status != "optimal":
+            return Relaxation(out.status, None, math.inf, 0.0, out)
+        return Relaxation("optimal", out.x, out.obj, 0.0, out)
     ntot = sf.A.shape[1]
     if start is None:
         feas = solve_standard_form(sf, c_min=np.zeros(ntot), lower=lower, upper=upper)
         if feas.status != "optimal":
-            return None
+            return Relaxation(feas.status, None, math.inf, 0.0, None)
         x = feas.x.copy()
     else:
         x = np.asarray(start, dtype=float).copy()
-    if not quad:
-        out = solve_standard_form(sf, lower=lower, upper=upper)
-        if out.status != "optimal":
-            return None
-        return out.x, out.obj, 0.0
     g = np.zeros(ntot)
     gap = math.inf
     for _ in range(max_iter):
-        _quad_grad(quad, x, g)
+        _quad_grad(sf.quad, x, g)
         g += sf.c
         lmo = solve_standard_form(sf, c_min=g, lower=lower, upper=upper)
         if lmo.status == "unbounded":
             raise ValueError("Frank-Wolfe requires a bounded feasible region")
         if lmo.status != "optimal":
-            return None
+            return Relaxation(lmo.status, None, math.inf, 0.0, None)
         d = lmo.x - x
         gap = float(-g @ d)
         if gap <= tol:
             break
-        dqd = _quad_value(quad, d)
+        dqd = _quad_value(sf.quad, d)
         gamma = 1.0 if dqd <= 0 else min(1.0, gap / (2.0 * dqd))
         x = x + gamma * d
-    value = float(sf.c @ x) + sf.c0 + _quad_value(quad, x)
-    return x, value, max(gap, 0.0)
+    value = float(sf.c @ x) + sf.c0 + _quad_value(sf.quad, x)
+    return Relaxation("optimal", x, value, max(gap, 0.0), None)
+
+
+def relaxation_result(model: Model, sf, rel: Relaxation, tol: float) -> SolveResult:
+    """Map a relaxation solve back to the model's orientation; ``sf`` carries
+    the bounds it was solved under.  A Frank-Wolfe gap above ``tol`` is a limit."""
+    if rel.lp is not None:
+        return result_from_simplex(model, sf, rel.lp)
+    if rel.status != "optimal":
+        return SolveResult(status=_STATUS_MAP[rel.status])
+    point = {vid: float(rel.x[vid]) for vid in range(model.num_variables)}
+    status = Status.OPTIMAL if rel.gap <= tol else Status.LIMIT
+    return SolveResult(status=status, point=point, objective=sf.sign * rel.value,
+                       best_bound=sf.sign * (rel.value - rel.gap), kkt_residual=rel.gap)
 
 
 def qp_frank_wolfe(model: Model, tol: float = DEFAULT_TOL,
@@ -84,7 +111,6 @@ def qp_frank_wolfe(model: Model, tol: float = DEFAULT_TOL,
     if model.complementarities:
         raise ValueError("qp_frank_wolfe does not accept complementarity pairs")
     sf = standard_form(model)
-    quad = tuple((i, j, sf.sign * c) for i, j, c in model.objective.quadratic)
     start_full = None
     if start is not None:
         arr = model.point_array(start)
@@ -96,11 +122,5 @@ def qp_frank_wolfe(model: Model, tol: float = DEFAULT_TOL,
         for r, col in enumerate(sf.slack_col):
             if col >= 0:
                 start_full[col] = sf.b[r] - sf.A[r, : model.num_variables] @ arr
-    out = solve_fw_standard_form(sf, quad, tol=tol, max_iter=max_iter, start=start_full)
-    if out is None:
-        return SolveResult(status=Status.INFEASIBLE)
-    x, val, gap = out
-    point = {vid: float(x[vid]) for vid in range(model.num_variables)}
-    status = Status.OPTIMAL if gap <= tol else Status.LIMIT
-    return SolveResult(status=status, point=point, objective=sf.sign * val,
-                       best_bound=sf.sign * (val - gap), kkt_residual=gap)
+    rel = solve_relaxation(sf, tol=tol, max_iter=max_iter, start=start_full)
+    return relaxation_result(model, sf, rel, tol)

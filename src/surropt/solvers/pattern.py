@@ -9,11 +9,12 @@ local search for the complementarity formulation.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ..model import Model
-from .frank_wolfe import solve_fw_standard_form
+from .frank_wolfe import relaxation_result, solve_relaxation
 from .result import SolveResult, Status
 from .simplex import solve_standard_form, standard_form
 
@@ -68,20 +69,6 @@ def _point_satisfies(x, lower, upper, tol=1e-9):
     return bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
 
 
-def _solve_branch(sf, quad, lower, upper, fw_tol):
-    """Objective solve in min space: (status, value, x), x None unless optimal."""
-    if quad:
-        out = solve_fw_standard_form(sf, quad, lower, upper, tol=fw_tol)
-        if out is None:
-            return "infeasible", math.inf, None
-        x, val, gap = out
-        return "optimal", val, x
-    out = solve_standard_form(sf, lower=lower, upper=upper)
-    if out.status != "optimal":
-        return out.status, math.inf, None
-    return "optimal", out.obj, out.x
-
-
 _LOST = {"limit": Status.LIMIT, "unbounded": Status.UNBOUNDED}
 
 
@@ -99,7 +86,6 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
         raise ValueError(f"{len(neurons)} neuron pairs exceed the enumeration cap {cap}")
     _check_free_binaries(model, neurons)
     sf = standard_form(model)
-    quad = tuple((i, j, sf.sign * c) for i, j, c in model.objective.quadratic)
     zero_c = np.zeros(sf.A.shape[1])
     best = [math.inf, None, None]  # min-space value, x, active set
     flags: list = []
@@ -107,7 +93,7 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
 
     def descend(k, lower, upper, witness):
         if k == len(neurons):
-            status, val, x = _solve_branch(sf, quad, lower, upper, fw_tol)
+            status, x, val, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol)
             if status in _LOST:
                 lost.add(status)
             elif status == "optimal" and val < best[0] - 1e-12:
@@ -171,7 +157,6 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
     labels = [lab for lab, *_ in neurons]
     _check_free_binaries(model, neurons)
     sf = standard_form(model)
-    quad = tuple((i, j, sf.sign * c) for i, j, c in model.objective.quadratic)
 
     if start_pattern is not None:
         flat = set()
@@ -185,23 +170,27 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
     else:
         raise ValueError("mpcc_local_solve needs a starting point or pattern")
 
-    def solve_pattern(act):
+    def pattern_bounds(act):
         lo, up = sf.lower.copy(), sf.upper.copy()
         for neuron in neurons:
             if not _apply_branch(lo, up, neuron, neuron[0] in act):
                 return None
-        return _solve_branch(sf, quad, lo, up, fw_tol)
+        return lo, up
+
+    def solve_pattern(act):
+        bounds = pattern_bounds(act)
+        return None if bounds is None else solve_relaxation(sf, *bounds, tol=fw_tol)
 
     cur = solve_pattern(active)
-    if cur is None or cur[0] == "infeasible":
+    if cur is None or cur.status == "infeasible":
         raise NoFeasibleStartError("starting pattern has an empty subproblem")
     subproblems = 1
     unjudged = False  # a flip of the last round whose LP hit a limit
     for _ in range(max_rounds):
-        if cur[0] in _LOST:
-            return SolveResult(status=_LOST[cur[0]], nodes=subproblems,
+        if cur.status in _LOST:
+            return SolveResult(status=_LOST[cur.status], nodes=subproblems,
                                pattern=frozenset(nid for _, nid in active))
-        _, val, x = cur
+        x = cur.x
         boundary = [n for n in neurons
                     if x[n[1]] <= boundary_tol and x[n[2]] <= boundary_tol]
         improved = unjudged = False
@@ -210,34 +199,20 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
             flipped = (active - {lab}) if lab in active else (active | {lab})
             out = solve_pattern(flipped)
             subproblems += 1
-            if out is None or out[0] == "infeasible":
+            if out is None or out.status == "infeasible":
                 continue
-            if out[0] == "limit":
+            if out.status == "limit":
                 unjudged = True
-            elif out[0] == "unbounded" or out[1] < val - improve_tol:
+            elif out.status == "unbounded" or out.value < cur.value - improve_tol:
                 active, cur = flipped, out
                 improved = True
                 break
         if not improved:
             break
 
-    # re-solve through the public path to surface duals and reduced costs
-    final = model.copy()
-    lo, up = sf.lower.copy(), sf.upper.copy()
-    for neuron in neurons:
-        _apply_branch(lo, up, neuron, neuron[0] in active)
-    for var in final.variables:
-        var.lower, var.upper = float(lo[var.id]), float(up[var.id])
-        var.kind = "continuous"
-    final.complementarities = []  # enforced by the branch fixing above
-    if quad:
-        from .frank_wolfe import qp_frank_wolfe
-
-        res = qp_frank_wolfe(final.freeze(), tol=fw_tol)
-    else:
-        from .simplex import lp_solve
-
-        res = lp_solve(final.freeze())
+    # the final subproblem's solve already holds the duals and reduced costs
+    lo, up = pattern_bounds(active)
+    res = relaxation_result(model, replace(sf, lower=lo, upper=up), cur, fw_tol)
     if res.status == Status.OPTIMAL:
         # locally optimal, no global bound claimed; unverified if a flip hit a limit
         res.status = Status.LIMIT if unjudged else Status.FEASIBLE

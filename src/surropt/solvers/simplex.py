@@ -40,7 +40,7 @@ _CAN_FALL = np.array([False, True, True, False])
 
 @dataclass
 class StandardFormLP:
-    """min c·x + c0  s.t.  A x = b,  lower <= x <= upper (inf bounds allowed)."""
+    """min c·x + c0 (+ quad)  s.t.  A x = b,  lower <= x <= upper (inf bounds allowed)."""
 
     A: np.ndarray
     b: np.ndarray
@@ -49,7 +49,8 @@ class StandardFormLP:
     lower: np.ndarray
     upper: np.ndarray
     slack_col: np.ndarray  # per row: slack column index, -1 for equalities
-    sign: float  # +1 for min models, -1 for max (already folded into c, c0)
+    sign: float  # +1 for min models, -1 for max (already folded into c, c0, quad)
+    quad: tuple = ()  # ((i, j, coef), ...) quadratic terms; the simplex ignores them
 
 
 def standard_form(model: Model) -> StandardFormLP:
@@ -84,7 +85,8 @@ def standard_form(model: Model) -> StandardFormLP:
     for vid, coef in model.objective.linear.terms.items():
         c[vid] = sign * coef
     c0 = sign * model.objective.linear.constant
-    return StandardFormLP(A, b, c, c0, lower, upper, slack_col, sign)
+    quad = tuple((i, j, sign * coef) for i, j, coef in model.objective.quadratic)
+    return StandardFormLP(A, b, c, c0, lower, upper, slack_col, sign, quad)
 
 
 @dataclass

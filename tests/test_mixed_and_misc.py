@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from surropt.encoders import tighten_bounds
 from surropt.model import Model, fix_binaries
 from surropt.nn import random_network
 from surropt.problems import build_oilwell
@@ -88,16 +87,6 @@ def test_engine_mip_and_mpcc_share_the_optimum(rng):
     orc = pattern_enumerate_solve(m_cc, h_cc.embeddings)
     assert exact.status is Status.OPTIMAL and orc.status is Status.OPTIMAL
     assert exact.objective == pytest.approx(orc.objective, abs=1e-6)
-
-
-def test_tighten_bounds_threaded_matches_serial(rng):
-    net = random_network(rng, [2, 4, 3, 1])
-    box = (np.full(2, -1.0), np.full(2, 1.0))
-    serial = tighten_bounds(net, box, threads=1)
-    threaded = tighten_bounds(net, box, threads=3)
-    for nid in serial.my:
-        assert threaded.my[nid] == pytest.approx(serial.my[nid], abs=1e-9)
-        assert threaded.ms[nid] == pytest.approx(serial.ms[nid], abs=1e-9)
 
 
 def test_cli_hull_flag(tmp_path, capsys, rng):

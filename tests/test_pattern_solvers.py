@@ -155,3 +155,50 @@ def test_point_start_derives_pattern(rng):
     res = mpcc_local_solve(m, h, start=pt, net=net)
     assert res.status is Status.FEASIBLE
     assert res.objective <= m.objective_value(pt) + 1e-9
+
+
+def _fixed_pattern_model(model, handles, pattern):
+    """The model with the pattern's branches fixed and the pairs dropped: the
+    convex subproblem ``mpcc_local_solve`` ends on."""
+    final = model.copy()
+    for nid, (y, s, _) in handles.neuron_vars.items():
+        var = final.variables[s if nid in pattern else y]
+        var.lower = var.upper = 0.0
+    final.complementarities = []
+    return final.freeze()
+
+
+def test_mpcc_local_result_equals_a_resolve_of_its_final_subproblem():
+    # the duals come from the search's own last solve; a fresh solve of the
+    # final subproblem must give the same result
+    from surropt.solvers.simplex import lp_solve
+    from test_acceptance import _instance_pool
+
+    for net, build, d in _instance_pool():
+        m, h, _ = build("mpcc")
+        res = mpcc_local_solve(m, h, start_pattern=sign_partition(net, np.zeros(d)).active,
+                               net=net)
+        ref = lp_solve(_fixed_pattern_model(m, h, res.pattern))
+        assert ref.status is Status.OPTIMAL and res.status is Status.FEASIBLE
+        assert res.iterations == ref.iterations
+        for key in ("objective", "dual_objective"):
+            assert getattr(res, key) == pytest.approx(getattr(ref, key), abs=1e-12)
+        for key in ("point", "duals", "reduced_costs"):
+            got, want = getattr(res, key), getattr(ref, key)
+            assert got.keys() == want.keys()
+            assert max(abs(got[k] - want[k]) for k in want) <= 1e-12
+        assert res.kkt_residual <= 1e-9
+
+
+def test_mpcc_local_quadratic_result_equals_frank_wolfe_on_its_final_subproblem():
+    from surropt.solvers.frank_wolfe import qp_frank_wolfe
+
+    net = random_network(np.random.default_rng(3), [1, 2, 1])
+    m, h, _ = _embedded_model(net, -1.0, 1.0, "mpcc", {})
+    out = h.output_vars[0]
+    m.set_objective("min", {out: -0.6}, quadratic=[(out, out, 1.0)])
+    res = mpcc_local_solve(m, h, start_pattern=set())
+    ref = qp_frank_wolfe(_fixed_pattern_model(m, h, res.pattern), tol=1e-8)
+    assert ref.status is Status.OPTIMAL and res.status is Status.FEASIBLE
+    assert res.objective == ref.objective and res.kkt_residual == ref.kkt_residual
+    assert res.point == ref.point

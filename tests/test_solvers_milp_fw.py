@@ -133,3 +133,12 @@ def test_fw_infeasible_region():
     m.add_constraint({x: 1.0}, ">=", 2.0)
     m.set_objective("min", {}, quadratic=[(x, x, 1.0)])
     assert qp_frank_wolfe(m).status is Status.INFEASIBLE
+
+
+def test_fw_unbounded_linear_objective():
+    # min -x over x >= 0: a linear objective is one simplex solve, and its
+    # unboundedness must not read as an empty region
+    m = Model()
+    x = m.add_variable("x", lower=0.0)
+    m.set_objective("min", {x: -1.0})
+    assert qp_frank_wolfe(m).status is Status.UNBOUNDED

@@ -1,11 +1,13 @@
 """A subproblem LP that ends neither optimal nor infeasible must not be read
 as "infeasible": each solver surfaces it in its status or bound, or raises.
 
-Every test injects the undecided status by wrapping the module's
-``solve_standard_form`` and checks what the caller reports.
+Every test injects the undecided status by wrapping ``solve_standard_form``
+under every name a surropt module bound it to, and checks what the caller
+reports.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from surropt import stationarity as st
 from surropt.encoders import encode_mip, encode_mpcc, interval_bounds
 from surropt.model import Model
 from surropt.nn import random_network
-from surropt.solvers import branch_bound, pattern
+from surropt.solvers import branch_bound, pattern, simplex
 from surropt.solvers.result import SolverError, Status
 from surropt.solvers.simplex import SimplexOut, standard_form
 
@@ -46,10 +48,10 @@ def _highs_optimum(model):
     return sf.sign * (res.fun + sf.c0)
 
 
-def _inject(monkeypatch, module, status, when):
-    """Make ``module.solve_standard_form`` report ``status`` on the calls
-    for which ``when(call_number, kwargs)`` holds."""
-    orig = module.solve_standard_form
+def _inject(monkeypatch, status, when):
+    """Make ``solve_standard_form`` report ``status`` on the calls for which
+    ``when(call_number, kwargs)`` holds, whichever module makes them."""
+    orig = simplex.solve_standard_form
     calls = [0]
 
     def fake(sf, **kwargs):
@@ -59,7 +61,11 @@ def _inject(monkeypatch, module, status, when):
             return SimplexOut(status, out.x, math.nan, out.pi, out.reduced, out.iterations)
         return out
 
-    monkeypatch.setattr(module, "solve_standard_form", fake)
+    for name, mod in list(sys.modules.items()):
+        if name == "surropt" or name.startswith("surropt."):
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, fake)
     return calls
 
 
@@ -69,7 +75,7 @@ def test_bb_keeps_the_bound_of_a_node_lost_to_a_limit(monkeypatch):
     m, _ = _box_model(random_network(np.random.default_rng(0), [2, 10, 1]), "mip")
     opt = _highs_optimum(m)
     assert branch_bound.milp_solve(m).objective == pytest.approx(opt, abs=1e-9)
-    _inject(monkeypatch, branch_bound, "limit", lambda k, kw: k == 2)
+    _inject(monkeypatch, "limit", lambda k, kw: k == 2)
     res = branch_bound.milp_solve(m)
     assert res.status is Status.FEASIBLE
     assert res.objective > opt + 1e-3  # the lost node held the optimum
@@ -83,21 +89,51 @@ def _oracle_instance():
 def test_oracle_leaf_limit_is_reported(monkeypatch):
     m, h = _oracle_instance()
     assert pattern.pattern_enumerate_solve(m, h).status is Status.OPTIMAL
-    _inject(monkeypatch, pattern, "limit", lambda k, kw: kw.get("c_min") is None)
+    _inject(monkeypatch, "limit", lambda k, kw: kw.get("c_min") is None)
     assert pattern.pattern_enumerate_solve(m, h).status is Status.LIMIT
 
 
 def test_oracle_leaf_unbounded_is_reported(monkeypatch):
     m, h = _oracle_instance()
-    _inject(monkeypatch, pattern, "unbounded", lambda k, kw: kw.get("c_min") is None)
+    _inject(monkeypatch, "unbounded", lambda k, kw: kw.get("c_min") is None)
     assert pattern.pattern_enumerate_solve(m, h).status is Status.UNBOUNDED
 
 
 def test_oracle_witness_limit_does_not_prune_as_infeasible(monkeypatch):
     m, h = _oracle_instance()
-    _inject(monkeypatch, pattern, "limit", lambda k, kw: kw.get("c_min") is not None)
+    _inject(monkeypatch, "limit", lambda k, kw: kw.get("c_min") is not None)
     res = pattern.pattern_enumerate_solve(m, h)
     assert res.status is Status.LIMIT
+
+
+def _fw_instance(formulation):
+    """min (out - 0.3)^2 over x in [-1, 1]: node and leaf solves run Frank-Wolfe."""
+    m, h = _box_model(random_network(np.random.default_rng(3), [1, 2, 1]), formulation)
+    out = h.output_vars[0]
+    m.set_objective("min", {out: -0.6}, quadratic=[(out, out, 1.0)])
+    m.objective.linear.constant = 0.09
+    return m, h
+
+
+def test_bb_frank_wolfe_limit_is_not_infeasible(monkeypatch):
+    m, _ = _fw_instance("mip")
+    opt = branch_bound.milp_solve(m)
+    assert opt.status is Status.OPTIMAL
+    # every Frank-Wolfe LP (start and linear-minimization oracle) hits its limit
+    _inject(monkeypatch, "limit", lambda k, kw: kw.get("c_min") is not None)
+    res = branch_bound.milp_solve(m)
+    assert res.status is Status.LIMIT
+    assert res.best_bound <= opt.objective
+
+
+def test_oracle_frank_wolfe_limit_is_not_infeasible(monkeypatch):
+    m, h = _fw_instance("mpcc")
+    assert pattern.pattern_enumerate_solve(m, h).status is Status.OPTIMAL
+    # the oracle's LPs (nonzero substituted costs) hit their limit; the
+    # zero-cost start and witness LPs stay decided
+    _inject(monkeypatch, "limit",
+            lambda k, kw: kw.get("c_min") is not None and bool(np.any(kw["c_min"])))
+    assert pattern.pattern_enumerate_solve(m, h).status is Status.LIMIT
 
 
 def test_mpcc_local_search_flip_limit_is_reported(monkeypatch):
@@ -105,20 +141,20 @@ def test_mpcc_local_search_flip_limit_is_reported(monkeypatch):
     # search tries flips; when their LPs hit a limit, local optimality is unverified
     m, h = _box_model(zero_bias_counterexample(), "mpcc")
     assert pattern.mpcc_local_solve(m, h, start_pattern=set()).status is Status.FEASIBLE
-    calls = _inject(monkeypatch, pattern, "limit", lambda k, kw: k > 1)
+    calls = _inject(monkeypatch, "limit", lambda k, kw: k > 1)
     assert pattern.mpcc_local_solve(m, h, start_pattern=set()).status is Status.LIMIT
     assert calls[0] > 1
-    _inject(monkeypatch, pattern, "limit", lambda k, kw: True)
+    _inject(monkeypatch, "limit", lambda k, kw: True)
     assert pattern.mpcc_local_solve(m, h, start_pattern=set()).status is Status.LIMIT
 
 
 def test_region_lp_limit_raises(monkeypatch):
     net = random_network(np.random.default_rng(2), [2, 3, 1])
     assert regions.enumerate_nonempty_patterns(net)
-    _inject(monkeypatch, regions, "limit", lambda k, kw: k == 3)
+    _inject(monkeypatch, "limit", lambda k, kw: k == 3)
     with pytest.raises(SolverError):
         regions.enumerate_nonempty_patterns(net)
-    _inject(monkeypatch, regions, "limit", lambda k, kw: True)
+    _inject(monkeypatch, "limit", lambda k, kw: True)
     with pytest.raises(SolverError):
         regions.region_nonempty(net, set())
 
