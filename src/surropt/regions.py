@@ -153,6 +153,8 @@ def enumerate_nonempty_patterns(net: Network, slack: float = DEFAULT_SLACK,
     Covers every one of the 2^n subsets; provably empty subtrees (a prefix of
     sign choices already infeasible) are pruned without being expanded, which
     cannot drop any nonempty pattern since adding rows only shrinks a region.
+    A prefix's witness point is carried down: a choice whose new row it
+    satisfies with margin ``slack`` needs no LP.
     """
     if slack <= 0:
         raise ValueError("slack must be positive")
@@ -162,7 +164,7 @@ def enumerate_nonempty_patterns(net: Network, slack: float = DEFAULT_SLACK,
     n = net.input_dim
     found = []
 
-    def descend(li, rows, pattern, M, v):
+    def descend(li, rows, pattern, M, v, witness):
         if li == len(net.hidden_layers):
             found.append(frozenset(pattern))
             return
@@ -170,24 +172,28 @@ def enumerate_nonempty_patterns(net: Network, slack: float = DEFAULT_SLACK,
         P = lay.weights @ M
         q = lay.weights @ v + lay.bias
 
-        def choose(i, layer_rows):
+        def choose(i, layer_rows, witness):
             if i == lay.fan_out:
                 mask = np.array([1.0 if sgn else 0.0 for _, _, sgn in layer_rows])
-                descend(li + 1, rows + layer_rows, pattern, P * mask[:, None], q * mask)
+                descend(li + 1, rows + layer_rows, pattern, P * mask[:, None], q * mask,
+                        witness)
                 return
             for sgn in (True, False):
                 cand = layer_rows + [(P[i], float(q[i]), sgn)]
-                if _strict_system_lp(rows + cand, n, slack, box) is None:
-                    continue
+                wit = witness
+                if wit is None or (1.0 if sgn else -1.0) * (P[i] @ wit + q[i]) < slack:
+                    wit = _strict_system_lp(rows + cand, n, slack, box)
+                    if wit is None:
+                        continue
                 if sgn:
                     pattern.add(NeuronId(li, i))
-                choose(i + 1, cand)
+                choose(i + 1, cand, wit)
                 if sgn:
                     pattern.discard(NeuronId(li, i))
 
-        choose(0, [])
+        choose(0, [], witness)
 
-    descend(0, [], set(), np.eye(n), np.zeros(n))
+    descend(0, [], set(), np.eye(n), np.zeros(n), None)
     return sorted(found, key=lambda p: sorted(p))
 
 

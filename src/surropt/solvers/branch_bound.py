@@ -52,26 +52,27 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         full[: model.num_variables] = arr
         incumbent_x = full
 
-    t0 = time.monotonic()
-    nodes = []  # (bound, seq, lower, upper)
-    nodes.append((-math.inf, 0, sf.lower.copy(), sf.upper.copy()))
+    deadline = time.monotonic() + time_limit if time_limit else None
+    nodes = []  # (bound, seq, lower, upper, parent basis)
+    nodes.append((-math.inf, 0, sf.lower.copy(), sf.upper.copy(), None))
     seq = 1
     explored = 0
     limit_hit = False
     lost_bound = math.inf  # parent bounds of nodes whose relaxation hit a limit
     while nodes:
-        if explored >= max_nodes or (time_limit and time.monotonic() - t0 > time_limit):
+        if explored >= max_nodes or (deadline and time.monotonic() > deadline):
             limit_hit = True
             break
         if incumbent_x is None:
             idx = len(nodes) - 1  # dive for a first incumbent
         else:
             idx = min(range(len(nodes)), key=lambda k: (nodes[k][0], nodes[k][1]))
-        bound0, _, lo, up = nodes.pop(idx)
+        bound0, _, lo, up, basis = nodes.pop(idx)
         if bound0 >= incumbent - gap_tol:
             continue
         explored += 1
-        status, x, val, gap, _ = solve_relaxation(sf, lo, up, tol=fw_tol)
+        status, x, val, gap, _, basis = solve_relaxation(sf, lo, up, tol=fw_tol, basis=basis,
+                                                         deadline=deadline)
         if status == "infeasible":
             continue
         if status == "unbounded":
@@ -96,10 +97,10 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
                 up2[j] = 0.0
             else:
                 lo2[j] = 1.0
-            nodes.append((bound, seq, lo2, up2))
+            nodes.append((bound, seq, lo2, up2, basis))
             seq += 1
 
-    open_bound = min((b for b, _, _, _ in nodes), default=incumbent)
+    open_bound = min((node[0] for node in nodes), default=incumbent)
     best_bound = min(incumbent, open_bound, lost_bound)
     res = SolveResult(status=Status.INFEASIBLE, iterations=explored, nodes=explored)
     if incumbent_x is not None:

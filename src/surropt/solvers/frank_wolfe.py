@@ -6,6 +6,7 @@ suboptimality."""
 from __future__ import annotations
 
 import math
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ class Relaxation(NamedTuple):
     value: float
     gap: float  # Frank-Wolfe duality gap: value - gap bounds the optimum
     lp: SimplexOut | None  # the simplex output of a linear objective
+    basis: tuple | None = None  # the last simplex basis, to warm-start a related solve
 
 
 def _quad_value(quad, x):
@@ -45,36 +47,45 @@ def _quad_grad(quad, x, out):
 
 
 def solve_relaxation(sf, lower=None, upper=None, tol=DEFAULT_TOL,
-                     max_iter=DEFAULT_MAX_ITER, start=None) -> Relaxation:
+                     max_iter=DEFAULT_MAX_ITER, start=None, basis=None,
+                     deadline=None) -> Relaxation:
     """Minimize ``sf.c`` plus the quadratic terms ``sf.quad`` over the polytope.
 
     A linear objective is one simplex solve.  A quadratic one runs Frank-Wolfe
     from ``start`` (else a feasible vertex) until the gap is at most ``tol`` or
-    ``max_iter`` steps are spent; an LP that hits its limit ends it as "limit".
+    ``max_iter`` steps are spent; an LP that hits its limit, or passing the
+    ``time.monotonic()`` instant ``deadline``, ends it as "limit".  The first
+    simplex solve starts from ``basis`` (a ``Relaxation.basis`` of the same
+    rows), each later one from the one before.
     """
     if not sf.quad:
-        out = solve_standard_form(sf, lower=lower, upper=upper)
+        out = solve_standard_form(sf, lower=lower, upper=upper, basis=basis)
         if out.status != "optimal":
             return Relaxation(out.status, None, math.inf, 0.0, out)
-        return Relaxation("optimal", out.x, out.obj, 0.0, out)
+        return Relaxation("optimal", out.x, out.obj, 0.0, out, out.basis)
     ntot = sf.A.shape[1]
     if start is None:
-        feas = solve_standard_form(sf, c_min=np.zeros(ntot), lower=lower, upper=upper)
+        feas = solve_standard_form(sf, c_min=np.zeros(ntot), lower=lower, upper=upper,
+                                   basis=basis)
         if feas.status != "optimal":
             return Relaxation(feas.status, None, math.inf, 0.0, None)
         x = feas.x.copy()
+        basis = feas.basis
     else:
         x = np.asarray(start, dtype=float).copy()
     g = np.zeros(ntot)
     gap = math.inf
     for _ in range(max_iter):
+        if deadline is not None and time.monotonic() > deadline:
+            return Relaxation("limit", None, math.inf, 0.0, None)
         _quad_grad(sf.quad, x, g)
         g += sf.c
-        lmo = solve_standard_form(sf, c_min=g, lower=lower, upper=upper)
+        lmo = solve_standard_form(sf, c_min=g, lower=lower, upper=upper, basis=basis)
         if lmo.status == "unbounded":
             raise ValueError("Frank-Wolfe requires a bounded feasible region")
         if lmo.status != "optimal":
             return Relaxation(lmo.status, None, math.inf, 0.0, None)
+        basis = lmo.basis
         d = lmo.x - x
         gap = float(-g @ d)
         if gap <= tol:
@@ -83,7 +94,7 @@ def solve_relaxation(sf, lower=None, upper=None, tol=DEFAULT_TOL,
         gamma = 1.0 if dqd <= 0 else min(1.0, gap / (2.0 * dqd))
         x = x + gamma * d
     value = float(sf.c @ x) + sf.c0 + _quad_value(sf.quad, x)
-    return Relaxation("optimal", x, value, max(gap, 0.0), None)
+    return Relaxation("optimal", x, value, max(gap, 0.0), None, basis)
 
 
 def relaxation_result(model: Model, sf, rel: Relaxation, tol: float) -> SolveResult:

@@ -91,9 +91,10 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
     flags: list = []
     lost = set()  # statuses of LPs that ended neither optimal nor infeasible
 
-    def descend(k, lower, upper, witness):
+    def descend(k, lower, upper, witness, basis):
         if k == len(neurons):
-            status, x, val, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol)
+            status, x, val, _, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol,
+                                                       basis=basis)
             if status in _LOST:
                 lost.add(status)
             elif status == "optimal" and val < best[0] - 1e-12:
@@ -105,17 +106,19 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
             if not _apply_branch(lo2, up2, neurons[k], active):
                 continue
             flags.append(active)
-            wit2 = witness
+            wit2, basis2 = witness, basis
             if witness is None or not _point_satisfies(witness, lo2, up2):
-                feas = solve_standard_form(sf, c_min=zero_c, lower=lo2, upper=up2)
+                feas = solve_standard_form(sf, c_min=zero_c, lower=lo2, upper=up2,
+                                           basis=basis)
                 wit2 = feas.x if feas.status == "optimal" else None
+                basis2 = feas.basis
                 if feas.status in _LOST:
                     lost.add(feas.status)  # the subtree is unexplored, not empty
             if wit2 is not None:
-                descend(k + 1, lo2, up2, wit2)
+                descend(k + 1, lo2, up2, wit2, basis2)
             flags.pop()
 
-    descend(0, sf.lower.copy(), sf.upper.copy(), None)
+    descend(0, sf.lower.copy(), sf.upper.copy(), None, None)
     if "unbounded" in lost:
         return SolveResult(status=Status.UNBOUNDED)
     if best[1] is None:

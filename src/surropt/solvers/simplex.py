@@ -9,6 +9,18 @@ and before the loop reports optimality (Forrest & Tomlin 1972; Bixby 2002).
 Duals and the final point come from a fresh LU factorization.  Dantzig
 pricing with a permanent switch to Bland's rule once degenerate pivots pile
 up gives finite termination.
+
+An optimal solve hands back its final basis (``SimplexOut.basis``), and a
+later solve of the same rows under other bounds or costs can start from it
+instead of from a crash basis with artificials.  The warm path snaps the
+nonbasic variables to the new bounds and takes one fresh inverse.  If the
+reduced costs are still dual feasible (only bounds changed, as between a
+branch-and-bound node and its children), a bounded dual simplex restores
+primal feasibility; otherwise a dual run with zero costs does, and the
+primal simplex then optimizes the costs (a cost change alone, as between
+Frank-Wolfe steps, takes no dual pivot).  A dual run that finds no entering
+column proves the LP infeasible.  A run that hits its limit or a numerical
+failure sends the LP down the cold path (Koberstein 2005; Bixby 2002).
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ PIV_TOL = 1e-9
 # to the entering column) refactors at once
 REFACTOR_EVERY = 50
 ETA_TOL = 1e-7
+# dual pivots a warm start may take before the LP is solved cold instead
+DUAL_LIMIT = 500
 
 # nonbasic variable states, and by state whether the variable may rise or fall
 AT_LOWER, AT_UPPER, FREE, BASIC = 0, 1, 2, 3
@@ -97,15 +111,33 @@ class SimplexOut:
     pi: np.ndarray
     reduced: np.ndarray
     iterations: int
+    basis: tuple | None = None  # (basis, state) of an optimal solve, for warm starts
 
 
 class _Tableau:
-    def __init__(self, A, b, lower, upper, slack_col):
-        m, n = A.shape
-        self.m, self.n = m, n
+    def __init__(self, A, b, lower, upper, slack_col, start=None):
+        self.m = A.shape[0]
+        self.A, self.b = A, b
         self.lower = lower.copy()
         self.upper = upper.copy()
-        # nonbasic start: nearest finite bound, free variables sit at 0
+        self.nart = 0
+        if start is None:
+            self._crash(slack_col)
+        else:
+            self._snap(*start)
+        self.ntot = self.A.shape[1]
+        self.iterations = 0
+        self.bland = False
+        self._degen = 0
+        self.pi = np.zeros(self.m)
+        self.Binv = None  # explicit basis inverse, eta-updated between refactors
+        self._etas = 0  # eta updates since the last fresh inverse
+
+    def _crash(self, slack_col):
+        """Cold start: nonbasics at their nearest finite bound (free ones at 0),
+        each row's slack basic where it absorbs the residual, else an artificial."""
+        A, b, lower, upper = self.A, self.b, self.lower, self.upper
+        m, n = A.shape
         x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
         state = np.where(np.isfinite(lower), AT_LOWER,
                          np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
@@ -117,7 +149,7 @@ class _Tableau:
             j = slack_col[i]
             if j >= 0:
                 val = x[j] + resid[i]
-                if self.lower[j] - 1e-12 <= val <= self.upper[j] + 1e-12:
+                if lower[j] - 1e-12 <= val <= upper[j] + 1e-12:
                     # crash: the row's own slack absorbs the residual
                     x[j] = val
                     basis[i] = j
@@ -132,24 +164,26 @@ class _Tableau:
             for col, (i, s) in enumerate(zip(art_cols, art_data)):
                 E[i, col] = s
             self.A = np.hstack([A, E])
-            self.lower = np.concatenate([self.lower, np.zeros(len(art_cols))])
-            self.upper = np.concatenate([self.upper, np.full(len(art_cols), INF)])
+            self.lower = np.concatenate([lower, np.zeros(len(art_cols))])
+            self.upper = np.concatenate([upper, np.full(len(art_cols), INF)])
             x = np.concatenate([x, np.abs(resid[art_cols])])
             state = np.concatenate([state, np.full(len(art_cols), BASIC, dtype=np.int8)])
-        else:
-            self.A = A
-        self.b = b
         self.x = x
         self.state = state
         self.basis = basis
         self.nart = len(art_cols)
-        self.ntot = self.A.shape[1]
-        self.iterations = 0
-        self.bland = False
-        self._degen = 0
-        self.pi = np.zeros(m)
-        self.Binv = None  # explicit basis inverse, eta-updated between refactors
-        self._etas = 0  # eta updates since the last fresh inverse
+
+    def _snap(self, basis, state):
+        """Warm start from an earlier basis: each nonbasic keeps its bound if
+        that bound is still finite, else moves to the other one (or 0 if free);
+        the basic values come with the first inverse."""
+        lo_f, up_f = np.isfinite(self.lower), np.isfinite(self.upper)
+        snapped = np.where(lo_f, AT_LOWER, np.where(up_f, AT_UPPER, FREE))
+        snapped = np.where((state == AT_UPPER) & up_f, AT_UPPER, snapped)
+        self.state = np.where(state == BASIC, BASIC, snapped).astype(np.int8)
+        self.basis = basis.copy()
+        self.x = np.where(self.state == AT_LOWER, self.lower,
+                          np.where(self.state == AT_UPPER, self.upper, 0.0))
 
     def _factor(self):
         B = self.A[:, self.basis]
@@ -289,6 +323,77 @@ class _Tableau:
             self._replace(k, q, u)
             fresh = self._etas == 0
 
+    def dual_feasible(self, c):
+        """Whether the reduced costs of c price every movable nonbasic out."""
+        d = c - (c[self.basis] @ self.Binv) @ self.A
+        movable = self.lower < self.upper
+        st = self.state
+        wrong = (_CAN_RISE[st] & (d < -OPT_TOL)) | (_CAN_FALL[st] & (d > OPT_TOL))
+        return not (movable & wrong).any()
+
+    def dual(self, c, feas_tol, maxiter):
+        """Dual simplex from a dual feasible basis for costs c, with a current
+        inverse and basic values, until the basic values are within
+        ``feas_tol`` of their bounds; returns 'feasible'|'infeasible'|'limit'.
+
+        The leaving row is the most infeasible basic; the entering column
+        passes a Harris two-pass ratio test (largest pivot among the near-ties).
+        "infeasible" is drawn from a fresh inverse only; "feasible" may rest
+        on updated values, since ``run`` refreshes them before it prices.
+        """
+        movable = self.lower < self.upper
+        priced = c.any()
+        d = np.zeros_like(c)
+        fresh = True
+        while True:
+            xb = self.x[self.basis]
+            below = self.lower[self.basis] - xb
+            above = xb - self.upper[self.basis]
+            if not self.m or max(below.max(), above.max()) <= feas_tol:
+                return "feasible"
+            if self.iterations >= maxiter:
+                return "limit"
+            r = int(np.argmax(np.maximum(below, above)))
+            # sigma = +1: basic r rises to its lower bound, -1: falls to its upper
+            sigma = 1.0 if below[r] > above[r] else -1.0
+            alpha = sigma * (self.Binv[r] @ self.A)
+            if priced:
+                d = c - (c[self.basis] @ self.Binv) @ self.A
+            st = self.state
+            # entering candidates: moving in their allowed direction pushes row r
+            # toward its bound; each may move until its reduced cost reaches 0
+            rise = movable & _CAN_RISE[st] & (alpha < -PIV_TOL)
+            fall = movable & _CAN_FALL[st] & (alpha > PIV_TOL)
+            elig = np.flatnonzero(rise | fall)
+            if not elig.size:
+                if not fresh:
+                    self._refresh()
+                    fresh = True
+                    continue
+                return "infeasible"
+            dj = np.maximum(np.where(rise[elig], d[elig], -d[elig]), 0.0)
+            aj = np.abs(alpha[elig])
+            bound = ((dj + OPT_TOL) / aj).min()
+            near = np.flatnonzero(dj / aj <= bound)
+            q = int(elig[near[np.argmax(aj[near])]])
+            u = self.Binv @ self.A[:, q]
+            if not np.isfinite(u).all() or abs(u[r]) <= PIV_TOL:
+                if not fresh:
+                    self._refresh()
+                    fresh = True
+                    continue
+                raise NumericalError("unstable dual pivot")
+            leave = self.basis[r]
+            target = self.lower[leave] if sigma > 0 else self.upper[leave]
+            step = (xb[r] - target) / u[r]  # change of x_q
+            self.iterations += 1
+            self.x[self.basis] = xb - step * u
+            self.x[q] += step
+            self.x[leave] = target
+            st[leave] = AT_LOWER if sigma > 0 else AT_UPPER
+            self._replace(r, q, u)
+            fresh = self._etas == 0
+
     def drive_out_artificials(self, feas_tol):
         """After phase 1: pivot artificials out of the basis or pin redundant rows."""
         art_start = self.ntot - self.nart
@@ -313,8 +418,13 @@ class _Tableau:
 
 
 def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
-                        maxiter=None) -> SimplexOut:
-    """Solve (optionally with substituted costs/bounds); everything in min space."""
+                        maxiter=None, basis=None) -> SimplexOut:
+    """Solve (optionally with substituted costs/bounds); everything in min space.
+
+    ``basis`` is the ``SimplexOut.basis`` of an earlier solve of the same
+    rows; the solve then starts from it (see the module docstring) and falls
+    back to a cold start when that does not settle the LP.
+    """
     c_struct = sf.c if c_min is None else np.asarray(c_min, dtype=float)
     lo = sf.lower if lower is None else np.asarray(lower, dtype=float)
     up = sf.upper if upper is None else np.asarray(upper, dtype=float)
@@ -325,8 +435,12 @@ def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
     m, ntot = sf.A.shape
     if maxiter is None:
         maxiter = 200 * (m + ntot) + 2000
-    tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col)
     feas_scale = FEAS_TOL * max(1.0, float(np.abs(sf.b).max(initial=0.0)))
+    if basis is not None:
+        out = _solve_warm(sf, c_struct, lo, up, basis, maxiter, feas_scale)
+        if out is not None:
+            return out
+    tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col)
     if tab.nart:
         c1 = np.zeros(tab.ntot)
         c1[ntot:] = 1.0
@@ -341,15 +455,52 @@ def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
         tab.drive_out_artificials(feas_scale)
     c_full = np.zeros(tab.ntot)
     c_full[:ntot] = c_struct
-    status = tab.run(c_full, maxiter)
+    return _finish(sf, tab, c_full, tab.run(c_full, maxiter))
+
+
+def _solve_warm(sf, c, lo, up, start, maxiter, feas_scale):
+    """Re-solve from an earlier basis; None when the LP must be solved cold.
+
+    A dual run restores primal feasibility: with the costs c when the basis
+    is dual feasible for them (bound changes after a solve with the same
+    costs), else with zero costs, after which the primal simplex optimizes
+    c (a cost change on a primal feasible basis needs no dual pivot).  A
+    dual or primal run that hits its limit, or numerical trouble, sends the
+    LP to the cold path, so a warm start never reports a limit of its own.
+    """
+    tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col, start)
+    try:
+        tab._invert()
+        dual_c = c if tab.dual_feasible(c) else np.zeros_like(c)
+        status = tab.dual(dual_c, feas_scale, min(maxiter, DUAL_LIMIT))
+        if status == "infeasible":
+            return SimplexOut("infeasible", tab.x.copy(), math.nan, tab.pi,
+                              np.zeros(len(c)), tab.iterations)
+        if status == "limit":
+            return None
+        status = tab.run(c, maxiter)
+        if status == "limit":
+            return None
+        return _finish(sf, tab, c, status)
+    except NumericalError:
+        return None
+
+
+def _finish(sf, tab, c_full, status):
+    """Point, duals and reduced costs from a fresh LU of the final basis; the
+    basis is kept for warm starts when the solve is optimal and no
+    artificial stayed basic."""
+    ntot = sf.A.shape[1]
     lu = tab._factor()
     tab._refresh_basics(lu)
     pi = lu_solve(lu, c_full[tab.basis], trans=1, check_finite=False)
     reduced = c_full[:ntot] - sf.A.T @ pi
     x = tab.x[:ntot]
-    obj = float(c_struct @ x) + sf.c0
-    out_status = {"optimal": "optimal", "unbounded": "unbounded", "limit": "limit"}[status]
-    return SimplexOut(out_status, x.copy(), obj, pi, reduced, tab.iterations)
+    obj = float(c_full[:ntot] @ x) + sf.c0
+    basis = None
+    if status == "optimal" and tab.basis.max(initial=-1) < ntot:
+        basis = (tab.basis.copy(), tab.state[:ntot].copy())
+    return SimplexOut(status, x.copy(), obj, pi, reduced, tab.iterations, basis)
 
 
 _STATUS_MAP = {

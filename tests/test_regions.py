@@ -3,7 +3,9 @@ import pytest
 
 from surropt.nn import NeuronId, affine_piece, random_network, sign_partition
 from surropt.regions import (
+    DEFAULT_SLACK,
     CapExceededError,
+    _strict_system_lp,
     enumerate_nonempty_patterns,
     general_position_check,
     generalized_jacobian,
@@ -188,3 +190,23 @@ def test_witness_classification_at_half_slack(rng):
         part = sign_partition(net, witness, tol=slack / 2)
         assert part.active == pattern
         assert not part.degenerate
+
+
+@pytest.mark.parametrize("sizes", [[2, 3, 3, 1], [3, 4, 4, 1], [2, 2, 3, 2, 1],
+                                   [3, 3, 2, 3, 1]])
+def test_enumeration_equals_brute_force_on_deep_nets(sizes):
+    # every subset of neurons tested on its own LP, with and without an input
+    # box: the enumeration's pruning and its carried witnesses lose nothing
+    net = random_network(np.random.default_rng(sum(sizes)), sizes)
+    ids = net.hidden_relu_ids()
+    d = net.input_dim
+    box = (np.full(d, -0.5), np.full(d, 0.5))
+    subsets = [frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+               for mask in range(2 ** len(ids))]
+    nonempty = {p for p in subsets if region_nonempty(net, p)[0]}
+    in_box = {p for p in subsets if _strict_system_lp(
+        [(r.normal, r.offset, r.positive) for r in region_inequalities(net, p).rows],
+        d, DEFAULT_SLACK, box) is not None}
+    assert set(enumerate_nonempty_patterns(net)) == nonempty
+    assert set(enumerate_nonempty_patterns(net, box=box)) == in_box
+    assert in_box < nonempty

@@ -2,18 +2,27 @@
 
 Instances mix <=, >= and = rows with boxed, one-sided, free and fixed
 variables; right-hand sides are often tight at a known point, which makes
-the start degenerate.  Status, optimum and the dual bound must agree.
+the start degenerate.  Status, optimum and the dual bound must agree, for
+cold solves and for warm re-solves from an optimal basis after bound or
+cost changes.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import linprog
 
 from surropt.model import Model
+from surropt.nn import random_network
 from surropt.solvers import simplex
+from surropt.solvers.branch_bound import milp_solve
+from surropt.solvers.pattern import pattern_enumerate_solve
 from surropt.solvers.result import Status
 from surropt.solvers.simplex import REFACTOR_EVERY, lp_solve
+
+from test_status_propagation import _box_model, _oracle_instance
 
 REL_TOL = 1e-7
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
@@ -127,3 +136,100 @@ def test_long_solve_refactors_once_per_interval(monkeypatch):
     assert not stale_optimal
     assert lu_calls[0] == 1
 
+
+def assert_warm_matches_highs(model, kwargs, lower, upper, c, basis):
+    """Re-solve from ``basis`` under new bounds and costs; ``kwargs`` are the
+    ``random_lp`` linprog arguments, which get the same bounds and costs."""
+    sf = simplex.standard_form(model)
+    n = model.num_variables
+    kwargs = dict(kwargs, c=c[:n], bounds=list(zip(lower[:n], upper[:n])))
+    # HiGHS's presolve can call an unbounded LP infeasible (random_lp(3229, 6, 6)
+    # with the costs of cost_seed 2 below), and without presolve HiGHS can end
+    # "unknown" on one (random_lp(368666, 5, 7), cost_seed 255755978); an
+    # undecided or infeasible verdict is asked again without presolve
+    for presolve in (True, False):
+        ref = linprog(method="highs", options=dict(HIGHS_OPTIONS, presolve=presolve),
+                      **kwargs)
+        if ref.status in (0, 3):
+            break
+    out = simplex.solve_standard_form(sf, c_min=c, lower=lower, upper=upper, basis=basis)
+    res = simplex.result_from_simplex(model, replace(sf, c=c, lower=lower, upper=upper), out)
+    assert res.status is HIGHS_STATUS[ref.status]
+    if ref.status == 0:
+        tol = REL_TOL * max(1.0, abs(ref.fun))
+        assert abs(res.objective - ref.fun) <= tol
+        assert abs(res.dual_objective - ref.fun) <= tol
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(1, 14), n=hst.integers(1, 14),
+       moves=hst.lists(hst.tuples(hst.integers(0, 13), hst.sampled_from(
+           ["tighten", "fix", "cross", "far"]), hst.floats(0.05, 1.0)), min_size=1, max_size=4))
+def test_warm_start_after_bound_changes_matches_highs(seed, m, n, moves):
+    # from an optimal basis: tighten a bound toward the optimum, fix a
+    # variable, move a bound past the optimum (a branch), or far past it
+    # (often infeasible); the re-solve starts from the old basis
+    model, kwargs = random_lp(seed, m, n)
+    sf = simplex.standard_form(model)
+    out = simplex.solve_standard_form(sf)
+    assume(out.basis is not None)
+    lower, upper = sf.lower.copy(), sf.upper.copy()
+    for j, kind, frac in moves:
+        j %= n
+        xj = out.x[j]
+        below = xj - lower[j] if np.isfinite(lower[j]) else 2.0
+        above = upper[j] - xj if np.isfinite(upper[j]) else 2.0
+        if kind == "tighten":
+            lower[j] = xj - (1 - frac) * below
+            upper[j] = xj + (1 - frac) * above
+        elif kind == "fix":
+            lower[j] = upper[j] = xj - frac * below
+        else:
+            step = frac * (1.0 if kind == "cross" else 10.0)
+            if frac < 0.5 and np.isfinite(upper[j]):
+                upper[j] = min(upper[j], xj - step)
+            else:
+                lower[j] = max(lower[j], xj + step)
+    assume(np.all(lower <= upper))
+    assert_warm_matches_highs(model, kwargs, lower, upper, sf.c, out.basis)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(1, 14), n=hst.integers(1, 14),
+       cost_seed=hst.integers(0, 2**32 - 1))
+def test_warm_start_after_a_cost_change_matches_highs(seed, m, n, cost_seed):
+    model, kwargs = random_lp(seed, m, n)
+    sf = simplex.standard_form(model)
+    out = simplex.solve_standard_form(sf)
+    assume(out.basis is not None)
+    c = np.zeros_like(sf.c)
+    c[:n] = np.round(np.random.default_rng(cost_seed).uniform(-2, 2, n), 1)
+    assert_warm_matches_highs(model, kwargs, sf.lower, sf.upper, c, out.basis)
+
+
+def _cold_tableaux(monkeypatch):
+    """Count the tableaux set up from a crash basis, not from a given one."""
+    cold = [0]
+    init = simplex._Tableau.__init__
+
+    def counting_init(tab, A, b, lower, upper, slack_col, start=None):
+        cold[0] += start is None
+        init(tab, A, b, lower, upper, slack_col, start)
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", counting_init)
+    return cold
+
+
+def test_bb_children_start_from_the_parent_basis(monkeypatch):
+    model, _ = _box_model(random_network(np.random.default_rng(0), [2, 10, 1]), "mip")
+    cold = _cold_tableaux(monkeypatch)
+    res = milp_solve(model)
+    assert res.status is Status.OPTIMAL and res.nodes > 10
+    assert cold[0] == 1  # the root
+
+
+def test_oracle_prefixes_and_leaves_start_from_an_ancestor_basis(monkeypatch):
+    model, handles = _oracle_instance()
+    cold = _cold_tableaux(monkeypatch)
+    assert pattern_enumerate_solve(model, handles).status is Status.OPTIMAL
+    assert cold[0] == 2  # the two first-level prefixes have no solved ancestor

@@ -1,9 +1,12 @@
+import signal
+
 import numpy as np
 import pytest
 
 from surropt.encoders import encode_mip, tighten_bounds
 from surropt.model import Model, fix_binaries
 from surropt.nn import random_network
+from surropt.problems import AttackSpec, build_attack
 from surropt.solvers.branch_bound import milp_solve
 from surropt.solvers.frank_wolfe import qp_frank_wolfe
 from surropt.solvers.pattern import pattern_enumerate_solve
@@ -142,3 +145,28 @@ def test_fw_unbounded_linear_objective():
     x = m.add_variable("x", lower=0.0)
     m.set_objective("min", {x: -1.0})
     assert qp_frank_wolfe(m).status is Status.UNBOUNDED
+
+
+def _interrupt(signum, frame):
+    raise TimeoutError("milp_solve ran past its time limit")
+
+
+def test_milp_time_limit_bounds_a_frank_wolfe_stall():
+    # the l2 attack's node QPs converge sublinearly under Frank-Wolfe; the
+    # time limit must end the stall inside a node, not only between nodes.
+    # An alarm turns a run past the limit into a failure instead of a hang.
+    rng = np.random.default_rng(1)
+    net = random_network(rng, [3, 6, 3])
+    image = rng.uniform(0.2, 0.8, 3)
+    model, _ = build_attack(AttackSpec(net=net, image=image, target_label=0, norm="l2"),
+                            "mip")
+    previous = signal.signal(signal.SIGALRM, _interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 3.0)
+    try:
+        res = milp_solve(model, time_limit=0.5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert res.status in (Status.LIMIT, Status.FEASIBLE)
+    if res.status is Status.FEASIBLE:
+        assert res.best_bound <= res.objective
