@@ -6,21 +6,30 @@ the input region.  At ReLU kinks the gradient uses the vertex with every
 degenerate neuron inactive, so smooth nets converge while kink-optimal ReLU
 nets keep a nonvanishing dual infeasibility and stall, which is exactly the
 phenomenon this formulation is known for.
+
+Per iteration the solver runs one forward pass per line-search trial point
+and one network Jacobian per accepted step, built from that pass's
+preactivations; an outer update that moves the multipliers or the penalty
+costs one more forward pass and Jacobian at the current point.  Each outer
+update is logged at DEBUG on this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from ..nn import Network, affine_piece, forward, sign_partition, _apply, _apply_derivative
+from ..nn import Network, forward, forward_with_preactivations, _apply_derivative
 from .result import SolveResult, Status, TraceRecord
 
 DEFAULT_MAX_ITER = 3000
 DEFAULT_TOL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -100,21 +109,23 @@ class PolytopeRegion:
         return out.x[: self._n].copy()
 
 
-def _dnn_jacobian(net: Network, x, tol):
-    """Network Jacobian; at ReLU kinks, the vertex with degenerates inactive."""
-    if net.is_pure_relu():
-        return affine_piece(net, sign_partition(net, x, tol).active)[0]
+def _dnn_jacobian(net: Network, preacts, kink_tol):
+    """Network Jacobian from the preactivations of one forward pass.
+
+    For a pure-ReLU net it is the affine piece of the neurons with
+    preactivation above ``kink_tol`` (the vertex with every degenerate neuron
+    inactive), the same matrix, bit for bit, as
+    ``affine_piece(net, sign_partition(net, x, kink_tol).active)[0]``;
+    other nets use the chain rule.
+    """
+    pure_relu = net.is_pure_relu()
     J = np.eye(net.input_dim)
-    y = np.asarray(x, dtype=float)
-    for li, lay in enumerate(net.layers):
-        a = lay.weights @ y + lay.bias
-        if li < net.num_layers - 1:
-            d = _apply_derivative(lay.activation, a)
-            J = (lay.weights * d[:, None]) @ J
-            y = _apply(lay.activation, a)
+    for lay, a in zip(net.hidden_layers, preacts):
+        if pure_relu:
+            J = (lay.weights @ J) * (a > kink_tol)[:, None]
         else:
-            J = lay.weights @ J
-    return J
+            J = (lay.weights * _apply_derivative(lay.activation, a)[:, None]) @ J
+    return net.layers[-1].weights @ J
 
 
 def embedded_solve(net: Network, objective: SmoothObjective, region,
@@ -143,20 +154,21 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     rho = 10.0
 
     def al_parts(x):
-        y = forward(net, x)
+        y, preacts = forward_with_preactivations(net, x)
         c = cvals(x, y)
         w = np.maximum(0.0, lam + rho * c)
         fval = float(objective.value(y, x))
         alval = fval + float(w @ w - lam @ lam) / (2.0 * rho) if c.size else fval
-        return y, c, w, fval, alval
+        return y, preacts, c, w, fval, alval
 
-    def al_grad(x, y, w):
+    def al_grad(x, parts):
+        y, preacts, _, w, _, _ = parts
         gx = np.asarray(objective.grad_x(y, x), dtype=float).reshape(-1)
         gy = np.asarray(objective.grad_y(y, x), dtype=float).reshape(-1)
         if w.size:
             gx = gx + np.asarray(constraints.jac_x(y, x)).T @ w
             gy = gy + np.asarray(constraints.jac_y(y, x)).T @ w
-        J = _dnn_jacobian(net, x, kink_tol)
+        J = _dnn_jacobian(net, preacts, kink_tol)
         return gx + J.T @ gy
 
     traces = []
@@ -167,9 +179,12 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     converged = False
     stuck = False
     primal = dual = math.inf
+    here = None  # (al_parts(x), its gradient), valid while lam and rho hold
     while it < max_iter:
-        y, c, w, fval, alval = al_parts(x)
-        g = al_grad(x, y, w)
+        if here is None:
+            parts = al_parts(x)
+            here = parts, al_grad(x, parts)
+        (_, _, c, w, fval, alval), g = here
         primal = float(np.maximum(c, 0.0).max(initial=0.0))
         dual = float(np.abs(x - region.project(x - g)).max(initial=0.0))
         traces.append(TraceRecord(it, fval, primal, dual))
@@ -180,11 +195,17 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         if dual <= max(inner_target, tol) or stuck:
             # inner solve done: update multipliers / penalty, tighten targets
             if lam.size:
-                if primal <= primal_target:
+                lam_moved = primal <= primal_target
+                if lam_moved:
                     lam = w
                     primal_target = max(tol / 10.0, primal_target * 0.5)
                 else:
                     rho = min(rho * 10.0, 1e10)
+                here = None
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug("AL update at iteration %d: rho=%g primal=%.3e dual=%.3e "
+                              "lam %s", it - 1, rho, primal, dual,
+                              "moved" if lam_moved else "kept")
                 inner_target = max(tol / 2.0, inner_target * 0.2)
                 stuck = False
                 alpha = 1.0
@@ -201,22 +222,22 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             d = x_try - x
             if np.abs(d).max(initial=0.0) <= 0.0:
                 break
-            _, _, _, _, al_try = al_parts(x_try)
-            if al_try <= alval + 1e-4 * float(g @ d):
+            parts = al_parts(x_try)
+            if parts[-1] <= alval + 1e-4 * float(g @ d):
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             stuck = True
             continue
-        y_try, _, w_try, _, _ = al_parts(x_try)
-        g_new = al_grad(x_try, y_try, w_try)
+        g_new = al_grad(x_try, parts)
         s = x_try - x
         yv = g_new - g
         sty = float(s @ yv)
         alpha = float(s @ s) / sty if sty > 1e-16 else min(step * 2.0, 1e8)
         alpha = min(max(alpha, 1e-12), 1e8)
         x = x_try
+        here = parts, g_new
         stuck = False
 
     y = forward(net, x)

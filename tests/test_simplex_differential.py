@@ -29,12 +29,13 @@ HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolera
 HIGHS_STATUS = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
 
 
-def random_lp(seed, m, n, infeasible=False):
+def random_lp(seed, m, n, infeasible=False, costs=None):
     """(Model, linprog kwargs) for one random instance.
 
     Rows hold at a point x0 inside the bounds (about half of them with
     equality, so degenerate); an infeasible instance boxes every variable,
     so that it cannot also be unbounded, and adds two contradicting rows.
+    ``costs`` replaces the drawn objective.
     """
     rng = np.random.default_rng(seed)
     kinds = rng.choice(["box", "lower", "upper", "free", "fixed"], size=n,
@@ -59,6 +60,8 @@ def random_lp(seed, m, n, infeasible=False):
         senses = np.append(senses, ["<=", ">="])
         rhs = np.append(rhs, [a @ x0, a @ x0 + 1.0])
     c = np.round(rng.uniform(-2, 2, n), 1)
+    if costs is not None:
+        c = np.asarray(costs, dtype=float)
 
     model = Model()
     ids = [model.add_variable(f"x{j}", lower=lower[j], upper=upper[j]) for j in range(n)]
@@ -75,8 +78,26 @@ def random_lp(seed, m, n, infeasible=False):
     return model, kwargs
 
 
+def highs_reference(kwargs):
+    """HiGHS's answer to the linprog problem ``kwargs``.
+
+    HiGHS's presolve can call an unbounded LP infeasible (random_lp(3229, 6, 6)
+    with the costs of test_presolve_infeasible_verdict_is_asked_again), and
+    without presolve HiGHS can end "unknown" on one (random_lp(368666, 5, 7),
+    costs from default_rng(255755978)); an infeasible or undecided verdict is
+    asked again without presolve.
+    """
+    for presolve in (True, False):
+        ref = linprog(method="highs", options=dict(HIGHS_OPTIONS, presolve=presolve),
+                      **kwargs)
+        if ref.status in (0, 3):
+            break
+    assert ref.status in HIGHS_STATUS, f"HiGHS reached no verdict: {ref.message}"
+    return ref
+
+
 def assert_matches_highs(model, kwargs):
-    ref = linprog(method="highs", options=HIGHS_OPTIONS, **kwargs)
+    ref = highs_reference(kwargs)
     res = lp_solve(model)
     assert res.status is HIGHS_STATUS[ref.status]
     if ref.status == 0:
@@ -98,6 +119,13 @@ def test_small_lps_match_highs(seed, m, n, infeasible):
 def test_long_lps_match_highs(seed):
     # 40 x 60: most of these take more pivots than one refactor interval
     assert_matches_highs(*random_lp(seed, 40, 60))
+
+
+def test_presolve_infeasible_verdict_is_asked_again():
+    costs = np.round(np.random.default_rng(2).uniform(-2, 2, 6), 1)
+    model, kwargs = random_lp(3229, 6, 6, costs=costs)
+    assert highs_reference(kwargs).status == 3
+    assert assert_matches_highs(model, kwargs).status is Status.UNBOUNDED
 
 
 def test_long_solve_refactors_once_per_interval(monkeypatch):
@@ -142,16 +170,7 @@ def assert_warm_matches_highs(model, kwargs, lower, upper, c, basis):
     ``random_lp`` linprog arguments, which get the same bounds and costs."""
     sf = simplex.standard_form(model)
     n = model.num_variables
-    kwargs = dict(kwargs, c=c[:n], bounds=list(zip(lower[:n], upper[:n])))
-    # HiGHS's presolve can call an unbounded LP infeasible (random_lp(3229, 6, 6)
-    # with the costs of cost_seed 2 below), and without presolve HiGHS can end
-    # "unknown" on one (random_lp(368666, 5, 7), cost_seed 255755978); an
-    # undecided or infeasible verdict is asked again without presolve
-    for presolve in (True, False):
-        ref = linprog(method="highs", options=dict(HIGHS_OPTIONS, presolve=presolve),
-                      **kwargs)
-        if ref.status in (0, 3):
-            break
+    ref = highs_reference(dict(kwargs, c=c[:n], bounds=list(zip(lower[:n], upper[:n]))))
     out = simplex.solve_standard_form(sf, c_min=c, lower=lower, upper=upper, basis=basis)
     res = simplex.result_from_simplex(model, replace(sf, c=c, lower=lower, upper=upper), out)
     assert res.status is HIGHS_STATUS[ref.status]
