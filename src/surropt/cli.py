@@ -39,8 +39,6 @@ from .solvers.pattern import mpcc_local_solve, pattern_enumerate_solve
 from .solvers.result import Status
 from .solvers.simplex import lp_solve
 
-log = logging.getLogger("surropt")
-
 TIGHTEN_MODES = {"interval": INTERVAL, "lp": LP_RELAX, "mip": EXACT_MIP}
 
 

@@ -5,16 +5,22 @@ Regions are open polyhedra; the LPs here realize strict inequalities as
 ``>= slack`` with a small positive slack, so a region counts as empty exactly
 when the slackened system is infeasible.  Full-dimensional regions survive any
 sufficiently small slack.
+
+Pattern enumeration and hull vertices fix each neuron's side on the
+complementarity encoding, the kept side ``>= slack`` (``DEFAULT_SLACK`` = 1e-6),
+and share the pattern oracle's pruned descent, ``branch_descent``.
+``region_nonempty`` keeps the max-margin LP, whose optimum is a centered witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
+from .encoders import encode_mpcc
+from .model import Model
 from .nn import (
     DEFAULT_TOL,
     RELU,
@@ -25,13 +31,13 @@ from .nn import (
     sign_partition,
     validate_pattern,
 )
+from .solvers.pattern import ENUMERATION_CAP, _apply_branch, _gather_neurons, branch_descent
 from .solvers.result import SolverError
-from .solvers.simplex import StandardFormLP, solve_standard_form
+from .solvers.simplex import StandardFormLP, solve_standard_form, standard_form
 
 DEFAULT_SLACK = 1e-6
 RANK_TOL = 1e-8
 DEGENERATE_CAP = 12
-ENUMERATION_CAP = 20
 
 
 class CapExceededError(ValueError):
@@ -59,9 +65,6 @@ class GeneralizedJacobianHull:
 
     vertices: tuple  # ((pattern, jacobian), ...)
     base_partition: SignPartition
-
-    def jacobians(self) -> list:
-        return [J for _, J in self.vertices]
 
 
 def _layer_rows(net: Network, pattern):
@@ -146,54 +149,45 @@ def region_nonempty(net: Network, pattern, slack: float = DEFAULT_SLACK):
     return (witness is not None), witness
 
 
+def _nonempty_patterns(net: Network, slack, search, active=frozenset(), box=None):
+    """``active`` joined with each subset of the neurons in ``search`` whose
+    region admits margin ``slack``, in descent order, with the inputs free or
+    inside ``box``.  The other neurons keep their side: active if in ``active``."""
+    model = Model()
+    n = net.input_dim
+    lo, hi = box if box is not None else (np.full(n, -np.inf), np.full(n, np.inf))
+    xs = [model.add_variable(f"x[{j}]", lower=float(lo[j]), upper=float(hi[j]))
+          for j in range(n)]
+    neurons = _gather_neurons(encode_mpcc(model, net, xs))
+    sf = standard_form(model)
+    for neuron in neurons:
+        if neuron[0][1] not in search:
+            _apply_branch(sf.lower, sf.upper, neuron, neuron[0][1] in active, slack)
+    neurons = [nr for nr in neurons if nr[0][1] in search]
+    found = []
+
+    def leaf(flags, *_):
+        found.append(active | {nid for ((_, nid), *_), act in zip(neurons, flags) if act})
+
+    lost = branch_descent(sf, neurons, leaf, margin=slack)
+    if lost:  # a zero-cost LP is never unbounded: only the iteration limit gets here
+        raise SolverError(f"region LP ended with status {lost.pop()!r}")
+    return found
+
+
 def enumerate_nonempty_patterns(net: Network, slack: float = DEFAULT_SLACK,
                                 max_neurons: int = ENUMERATION_CAP, box=None) -> list:
     """All activation patterns with a nonempty region, in deterministic order.
 
-    Covers every one of the 2^n subsets; provably empty subtrees (a prefix of
-    sign choices already infeasible) are pruned without being expanded, which
-    cannot drop any nonempty pattern since adding rows only shrinks a region.
-    A prefix's witness point is carried down: a choice whose new row it
-    satisfies with margin ``slack`` needs no LP.
+    Covers every one of the 2^n subsets through ``branch_descent``, which prunes
+    a prefix of sign choices with no point at margin ``slack``.
     """
     if slack <= 0:
         raise ValueError("slack must be positive")
     ids = net.hidden_relu_ids()
     if len(ids) > max_neurons:
         raise CapExceededError(f"{len(ids)} hidden neurons exceed the cap {max_neurons}")
-    n = net.input_dim
-    found = []
-
-    def descend(li, rows, pattern, M, v, witness):
-        if li == len(net.hidden_layers):
-            found.append(frozenset(pattern))
-            return
-        lay = net.hidden_layers[li]
-        P = lay.weights @ M
-        q = lay.weights @ v + lay.bias
-
-        def choose(i, layer_rows, witness):
-            if i == lay.fan_out:
-                mask = np.array([1.0 if sgn else 0.0 for _, _, sgn in layer_rows])
-                descend(li + 1, rows + layer_rows, pattern, P * mask[:, None], q * mask,
-                        witness)
-                return
-            for sgn in (True, False):
-                cand = layer_rows + [(P[i], float(q[i]), sgn)]
-                wit = witness
-                if wit is None or (1.0 if sgn else -1.0) * (P[i] @ wit + q[i]) < slack:
-                    wit = _strict_system_lp(rows + cand, n, slack, box)
-                    if wit is None:
-                        continue
-                if sgn:
-                    pattern.add(NeuronId(li, i))
-                choose(i + 1, cand, wit)
-                if sgn:
-                    pattern.discard(NeuronId(li, i))
-
-        choose(0, [], witness)
-
-    descend(0, [], set(), np.eye(n), np.zeros(n), None)
+    found = _nonempty_patterns(net, slack, set(ids), box=box)
     return sorted(found, key=lambda p: sorted(p))
 
 
@@ -235,20 +229,14 @@ def generalized_jacobian(net: Network, x, sign_tol: float = DEFAULT_TOL,
     degenerate set; only those with a nonempty region contribute a vertex.
     """
     part = sign_partition(net, x, sign_tol)
-    degen = sorted(part.degenerate)
+    degen = part.degenerate
     if len(degen) > cap:
         raise CapExceededError(f"{len(degen)} degenerate neurons exceed the cap {cap}")
-    vertices = []
-    if not degen:
-        pattern = frozenset(part.active)
-        vertices.append((pattern, affine_piece(net, pattern)[0]))
-    else:
-        for k in range(len(degen) + 1):
-            for extra in combinations(degen, k):
-                pattern = frozenset(part.active | set(extra))
-                nonempty, _ = region_nonempty(net, pattern, slack)
-                if nonempty:
-                    vertices.append((pattern, affine_piece(net, pattern)[0]))
+    patterns = [frozenset(part.active)]
+    if degen:  # vertex order: by subset size, then in the order combinations gives
+        patterns = sorted(_nonempty_patterns(net, slack, degen, part.active),
+                          key=lambda p: (len(p - part.active), sorted(p - part.active)))
+    vertices = [(p, affine_piece(net, p)[0]) for p in patterns]
     return GeneralizedJacobianHull(tuple(vertices), part)
 
 

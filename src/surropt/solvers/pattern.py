@@ -49,19 +49,22 @@ def _check_free_binaries(model, neurons):
                 "fix binaries (or branch over them) before pattern solves")
 
 
-def _apply_branch(lower, upper, neuron, active):
-    """Fix one neuron's branch in place; False when it conflicts with bounds."""
+def _apply_branch(lower, upper, neuron, active, margin=0.0):
+    """Fix one neuron's branch in place, its free side >= margin; False on a conflict."""
     _, y, s, z = neuron
     if active:
-        fixes = ((s, 0.0), (z, 0.0))
+        fixes, free = ((s, 0.0), (z, 0.0)), y
     else:
-        fixes = ((y, 0.0), (z, 1.0))
+        fixes, free = ((y, 0.0), (z, 1.0)), s
     for vid, val in fixes:
         if vid is None:
             continue
         if val < lower[vid] - 1e-12 or val > upper[vid] + 1e-12:
             return False
         lower[vid] = upper[vid] = val
+    if margin > upper[free] + 1e-12:
+        return False
+    lower[free] = max(lower[free], margin)
     return True
 
 
@@ -72,38 +75,30 @@ def _point_satisfies(x, lower, upper, tol=1e-9):
 _LOST = {"limit": Status.LIMIT, "unbounded": Status.UNBOUNDED}
 
 
-def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
-                            fw_tol: float = 1e-8) -> SolveResult:
-    """Global oracle: exhaust all 2^n branch assignments and keep the best.
+def branch_descent(sf, neurons, leaf, margin=0.0):
+    """Depth-first walk over the neurons' branches, active side first.
 
-    Each assignment fixes every pair's branch, making the remaining problem a
-    convex LP/QP; assignments whose partial fixing is already infeasible are
-    pruned as a block, which cannot lose solutions since fixing further
-    neurons only shrinks the feasible set.
+    An infeasible prefix is pruned as a block, which cannot lose a leaf since
+    fixing further neurons only shrinks the feasible set.  A child whose bounds
+    the parent's witness point satisfies needs no LP; otherwise a zero-cost LP,
+    warm from the parent's basis, decides it.  ``leaf(flags, lower, upper,
+    basis)`` sees each full assignment (``flags[k]``: neuron k active) and
+    returns its status.  Returns the statuses of LPs, prefix or leaf, that
+    ended neither optimal nor infeasible.
     """
-    neurons = _gather_neurons(handles)
-    if len(neurons) > cap:
-        raise ValueError(f"{len(neurons)} neuron pairs exceed the enumeration cap {cap}")
-    _check_free_binaries(model, neurons)
-    sf = standard_form(model)
     zero_c = np.zeros(sf.A.shape[1])
-    best = [math.inf, None, None]  # min-space value, x, active set
     flags: list = []
     lost = set()  # statuses of LPs that ended neither optimal nor infeasible
 
     def descend(k, lower, upper, witness, basis):
         if k == len(neurons):
-            status, x, val, _, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol,
-                                                       basis=basis)
+            status = leaf(flags, lower, upper, basis)
             if status in _LOST:
                 lost.add(status)
-            elif status == "optimal" and val < best[0] - 1e-12:
-                best[0], best[1] = val, x
-                best[2] = {lab for (lab, *_), act in zip(neurons, flags) if act}
             return
         for active in (True, False):
             lo2, up2 = lower.copy(), upper.copy()
-            if not _apply_branch(lo2, up2, neurons[k], active):
+            if not _apply_branch(lo2, up2, neurons[k], active, margin):
                 continue
             flags.append(active)
             wit2, basis2 = witness, basis
@@ -119,12 +114,38 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
             flags.pop()
 
     descend(0, sf.lower.copy(), sf.upper.copy(), None, None)
+    return lost
+
+
+def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
+                            fw_tol: float = 1e-8) -> SolveResult:
+    """Global oracle: exhaust all 2^n branch assignments and keep the best.
+
+    Each assignment fixes every pair's branch, making the remaining problem a
+    convex LP/QP; ``branch_descent`` prunes assignments whose partial fixing
+    is already infeasible.
+    """
+    neurons = _gather_neurons(handles)
+    if len(neurons) > cap:
+        raise ValueError(f"{len(neurons)} neuron pairs exceed the enumeration cap {cap}")
+    _check_free_binaries(model, neurons)
+    sf = standard_form(model)
+    best = [math.inf, None, None]  # min-space value, x, active set
+
+    def leaf(flags, lower, upper, basis):
+        status, x, val, _, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol,
+                                                   basis=basis)
+        if status == "optimal" and val < best[0] - 1e-12:
+            best[0], best[1] = val, x
+            best[2] = {lab for (lab, *_), act in zip(neurons, flags) if act}
+        return status
+
+    lost = branch_descent(sf, neurons, leaf)
     if "unbounded" in lost:
         return SolveResult(status=Status.UNBOUNDED)
     if best[1] is None:
         return SolveResult(status=Status.LIMIT if lost else Status.INFEASIBLE)
-    x = best[1]
-    point = {vid: float(x[vid]) for vid in range(model.num_variables)}
+    point = {vid: float(best[1][vid]) for vid in range(model.num_variables)}
     pattern = frozenset(nid for _, nid in best[2])
     obj = sf.sign * best[0]
     if lost:  # the best leaf seen so far; unexplored leaves may beat it
@@ -136,11 +157,7 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
 
 def _pattern_from_point(model, neurons, point, tol=BOUNDARY_TOL):
     arr = model.point_array(point)
-    active = set()
-    for lab, y, s, z in neurons:
-        if arr[y] > tol:
-            active.add(lab)
-    return active
+    return {lab for lab, y, _, _ in neurons if arr[y] > tol}
 
 
 def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
@@ -157,17 +174,12 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
     subproblem's duals are the complementarity multipliers.
     """
     neurons = _gather_neurons(handles)
-    labels = [lab for lab, *_ in neurons]
     _check_free_binaries(model, neurons)
     sf = standard_form(model)
 
-    if start_pattern is not None:
-        flat = set()
-        for lab in labels:
-            hi, nid = lab
-            if nid in start_pattern or lab in start_pattern:
-                flat.add(lab)
-        active = flat
+    if start_pattern is not None:  # NeuronIds or (handle, NeuronId) labels
+        active = {lab for lab, *_ in neurons
+                  if lab[1] in start_pattern or lab in start_pattern}
     elif start is not None:
         active = _pattern_from_point(model, neurons, start, boundary_tol)
     else:

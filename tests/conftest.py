@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surropt.nn import Activation, Layer, Network
+from surropt.nn import Activation, Layer, Network, random_network
 
 LIN = Activation("linear")
 RELU = Activation("relu")
@@ -24,6 +24,14 @@ def three_neuron_net() -> Network:
         Layer([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 0.0], RELU),
         Layer([[1.0, 1.0, 1.0]], [0.0], LIN),
     ))
+
+
+def two_fold_kink(seed: int = 3):
+    """A random [2, 4, 3, 1] ReLU net and the point where the kinks of its
+    first two neurons cross (a generic two-fold intersection)."""
+    net = random_network(np.random.default_rng(seed), [2, 4, 3, 1])
+    W, b = net.layers[0].weights[:2], net.layers[0].bias[:2]
+    return net, np.linalg.solve(W, -b)
 
 
 def identity_net(n: int) -> Network:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from surropt.regions import (
     zaslavsky_count,
 )
 
-from conftest import single_neuron_net, three_neuron_net, zero_bias_counterexample
+from conftest import (
+    absolute_value_net,
+    single_neuron_net,
+    three_neuron_net,
+    two_fold_kink,
+    zero_bias_counterexample,
+)
 
 N = NeuronId
 
@@ -79,6 +87,12 @@ def test_enumerate_cap():
     net = random_network(np.random.default_rng(0), [2, 5, 1])
     with pytest.raises(CapExceededError):
         enumerate_nonempty_patterns(net, max_neurons=4)
+
+
+def test_enumeration_refuses_non_relu_nets():
+    # a swish layer has no activation regions to enumerate
+    with pytest.raises(ValueError, match="pure-ReLU"):
+        enumerate_nonempty_patterns(absolute_value_net("swish"))
 
 
 def test_zaslavsky_values():
@@ -210,3 +224,36 @@ def test_enumeration_equals_brute_force_on_deep_nets(sizes):
     assert set(enumerate_nonempty_patterns(net)) == nonempty
     assert set(enumerate_nonempty_patterns(net, box=box)) == in_box
     assert in_box < nonempty
+
+
+def _subset_loop_hull(net, x, slack=DEFAULT_SLACK):
+    """Reference hull vertices: every subset of the degenerate neurons, in the
+    order ``combinations`` gives, each decided by its own max-margin LP."""
+    part = sign_partition(net, x)
+    degen = sorted(part.degenerate)
+    vertices = []
+    for k in range(len(degen) + 1):
+        for extra in combinations(degen, k):
+            pattern = frozenset(part.active | set(extra))
+            if region_nonempty(net, pattern, slack)[0]:
+                vertices.append((pattern, affine_piece(net, pattern)[0]))
+    return vertices
+
+
+KINKS = {
+    "three_neuron_origin": lambda: (three_neuron_net(), np.zeros(2)),
+    "zero_bias_origin": lambda: (zero_bias_counterexample(), np.zeros(1)),
+    "two_fold_intersection": two_fold_kink,
+}
+
+
+@pytest.mark.parametrize("case, count", [("three_neuron_origin", 6), ("zero_bias_origin", 2),
+                                         ("two_fold_intersection", 4)])
+def test_generalized_jacobian_equals_the_subset_loop(case, count):
+    net, x = KINKS[case]()
+    hull = generalized_jacobian(net, x)
+    ref = _subset_loop_hull(net, x)
+    assert len(ref) == count
+    assert [p for p, _ in hull.vertices] == [p for p, _ in ref]
+    for (_, J), (_, R) in zip(hull.vertices, ref):
+        assert np.array_equal(J, R)

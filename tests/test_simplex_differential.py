@@ -16,12 +16,14 @@ from scipy.optimize import linprog
 
 from surropt.model import Model
 from surropt.nn import random_network
+from surropt.regions import enumerate_nonempty_patterns, generalized_jacobian
 from surropt.solvers import simplex
 from surropt.solvers.branch_bound import milp_solve
 from surropt.solvers.pattern import pattern_enumerate_solve
 from surropt.solvers.result import Status
 from surropt.solvers.simplex import REFACTOR_EVERY, lp_solve
 
+from conftest import two_fold_kink
 from test_status_propagation import _box_model, _oracle_instance
 
 REL_TOL = 1e-7
@@ -252,3 +254,17 @@ def test_oracle_prefixes_and_leaves_start_from_an_ancestor_basis(monkeypatch):
     cold = _cold_tableaux(monkeypatch)
     assert pattern_enumerate_solve(model, handles).status is Status.OPTIMAL
     assert cold[0] == 2  # the two first-level prefixes have no solved ancestor
+
+
+def test_region_prefixes_start_from_an_ancestor_basis(monkeypatch):
+    net = random_network(np.random.default_rng(7), [2, 4, 3, 1])
+    cold = _cold_tableaux(monkeypatch)
+    assert len(enumerate_nonempty_patterns(net)) > 2
+    assert cold[0] == 2  # the two first-level prefixes have no solved ancestor
+
+
+def test_hull_vertices_start_from_an_ancestor_basis(monkeypatch):
+    net, x = two_fold_kink()
+    cold = _cold_tableaux(monkeypatch)
+    assert len(generalized_jacobian(net, x).vertices) == 4
+    assert cold[0] <= 2
