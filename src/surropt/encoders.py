@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BINARY, EQ, LE, MAX, MIN, Model
+from .model import BINARY, EQ, LE, MAX, MIN, LinearExpr, Model
 from .nn import RELU, Network, NeuronId
 from .solvers.result import Status
-from .solvers.simplex import lp_solve
+from .solvers.simplex import _STATUS_MAP, solve_standard_form, standard_form
 
 INTERVAL = "interval"
 LP_RELAX = "lp_relax"
@@ -222,55 +222,22 @@ def convex_hull_constraints(model: Model, input_vars, training_inputs,
     return lams
 
 
-def _tighten_neuron(net, box, bounds, li, i, mode, per_solve_limit):
-    """Max/min of one neuron's preactivation over the relaxed upstream encoding."""
-    from .solvers.branch_bound import milp_solve  # local: avoid import cycle at load
-
-    lay = net.hidden_layers[li]
-    nid = NeuronId(li, i)
-    results = []
-    for sense in (MAX, MIN):
-        model = Model()
-        inputs = _embed_inputs(model, box, prefix="")
-        _, prev = _encode_hidden_mip(model, net, inputs, bounds, "", li,
-                                     relax=(mode == LP_RELAX))
-        terms = {}
-        for coef, pv in zip(lay.weights[i], prev):
-            if coef != 0.0:
-                terms[pv] = float(coef)
-        model.set_objective(sense, _expr(terms, float(lay.bias[i])))
-        if mode == LP_RELAX:
-            res = lp_solve(model, maxiter=per_solve_limit)
-        else:
-            res = milp_solve(model, max_nodes=per_solve_limit)
-        if res.status == Status.INFEASIBLE:
-            raise InconsistentBoxError(f"neuron {nid}: bound subproblem infeasible")
-        if res.status not in (Status.OPTIMAL,):
-            results.append(None)  # limit hit: fall back to the interval value
-        else:
-            results.append(res.objective)
-    amax, amin = results
-    my = bounds.my[nid] if amax is None else min(bounds.my[nid], max(0.0, amax))
-    ms = bounds.ms[nid] if amin is None else min(bounds.ms[nid], max(0.0, -amin))
-    return nid, my, ms
-
-
-def _expr(terms, constant):
-    from .model import LinearExpr
-
-    return LinearExpr(terms, constant)
-
-
 def tighten_bounds(net: Network, box, mode: str = LP_RELAX,
                    per_solve_limit: int = 200000) -> BigMBounds:
     """Optimality-based bound tightening, strictly layer by layer.
 
-    Each neuron's preactivation is maximized (then minimized) over the
-    encoding of the layers upstream of it, reusing already-tightened bounds;
-    constraints on neurons in the same or later layers are absent.  Results
-    never exceed the interval bounds; a subproblem that hits its limit falls
-    back to the interval value for that neuron.
+    The first hidden layer keeps its interval bounds, which are exact over a
+    box.  Each later layer is one encoding of the layers upstream of it,
+    reusing their already-tightened bounds; constraints on neurons in the
+    same or later layers are absent.  In ``LP_RELAX`` mode that encoding is
+    one LP relaxation in standard form, and each neuron's preactivation max
+    and min are cost changes on it, each warm-started from the previous
+    basis; ``EXACT_MIP`` solves each by branch and bound.  Results never
+    exceed the interval bounds; a subproblem that hits ``per_solve_limit``
+    (simplex iterations, or B&B nodes) keeps the interval value.
     """
+    from .solvers.branch_bound import milp_solve  # local: avoid import cycle at load
+
     if mode not in (LP_RELAX, EXACT_MIP):
         raise ValueError(f"unknown tightening mode {mode!r}")
     _require_relu(net, "tighten_bounds")
@@ -281,11 +248,40 @@ def tighten_bounds(net: Network, box, mode: str = LP_RELAX,
     box = _check_box(net, box)
     bounds = interval_bounds(net, box)
     tightened = BigMBounds(dict(bounds.my), dict(bounds.ms), mode)
-    for li, lay in enumerate(net.hidden_layers):
-        rows = [_tighten_neuron(net, box, tightened, li, i, mode, per_solve_limit)
-                for i in range(lay.fan_out)]
-        # layer barrier: commit the whole layer before moving downstream
-        for nid, my, ms in rows:
-            tightened.my[nid] = my
-            tightened.ms[nid] = ms
+    for li in range(1, len(net.hidden_layers)):
+        lay = net.hidden_layers[li]
+        model = Model()
+        inputs = _embed_inputs(model, box, prefix="")
+        _, prev = _encode_hidden_mip(model, net, inputs, tightened, "", li,
+                                     relax=(mode == LP_RELAX))
+        # layer barrier: this layer's subproblems see only the bounds of the
+        # layers above it, all committed before its model was built
+        sf = standard_form(model) if mode == LP_RELAX else None
+        basis = None
+        for i in range(lay.fan_out):
+            nid = NeuronId(li, i)
+            extremes = []  # max, then min; None where a limit was hit
+            for sense in (MAX, MIN):
+                if mode == LP_RELAX:
+                    sign = -1.0 if sense == MAX else 1.0  # to min space and back
+                    c = np.zeros(sf.A.shape[1])
+                    c[prev] = sign * lay.weights[i]
+                    out = solve_standard_form(sf, c_min=c, maxiter=per_solve_limit,
+                                              basis=basis)
+                    basis = out.basis or basis  # a limited solve leaves no basis
+                    status = _STATUS_MAP[out.status]
+                    value = sign * out.obj + float(lay.bias[i])
+                else:
+                    terms = {pv: float(w) for pv, w in zip(prev, lay.weights[i])}
+                    model.set_objective(sense, LinearExpr(terms, float(lay.bias[i])))
+                    res = milp_solve(model, max_nodes=per_solve_limit)
+                    status, value = res.status, res.objective
+                if status == Status.INFEASIBLE:
+                    raise InconsistentBoxError(f"neuron {nid}: bound subproblem infeasible")
+                extremes.append(value if status == Status.OPTIMAL else None)
+            amax, amin = extremes
+            if amax is not None:
+                tightened.my[nid] = min(bounds.my[nid], max(0.0, amax))
+            if amin is not None:
+                tightened.ms[nid] = min(bounds.ms[nid], max(0.0, -amin))
     return tightened

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from ..model import BINARY, Model
-from .frank_wolfe import solve_relaxation
+from .frank_wolfe import FW_TOL, solve_relaxation
 from .result import SolveResult, Status
 from .simplex import standard_form
 
@@ -24,8 +24,7 @@ FEAS_TOL = 1e-6
 
 
 def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
-               time_limit: float | None = None, gap_tol: float = GAP_TOL,
-               fw_tol: float = 1e-8) -> SolveResult:
+               time_limit: float | None = None) -> SolveResult:
     """Solve a model with binary variables to global optimality.
 
     ``warmstart`` is an incumbent point (var id -> value); it must be feasible
@@ -52,7 +51,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         full[: model.num_variables] = arr
         incumbent_x = full
 
-    deadline = time.monotonic() + time_limit if time_limit else None
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
     nodes = []  # (bound, seq, lower, upper, parent basis)
     nodes.append((-math.inf, 0, sf.lower.copy(), sf.upper.copy(), None))
     seq = 1
@@ -60,7 +59,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
     limit_hit = False
     lost_bound = math.inf  # parent bounds of nodes whose relaxation hit a limit
     while nodes:
-        if explored >= max_nodes or (deadline and time.monotonic() > deadline):
+        if explored >= max_nodes or (deadline is not None and time.monotonic() >= deadline):
             limit_hit = True
             break
         if incumbent_x is None:
@@ -68,10 +67,10 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         else:
             idx = min(range(len(nodes)), key=lambda k: (nodes[k][0], nodes[k][1]))
         bound0, _, lo, up, basis = nodes.pop(idx)
-        if bound0 >= incumbent - gap_tol:
+        if bound0 >= incumbent - GAP_TOL:
             continue
         explored += 1
-        status, x, val, gap, _, basis = solve_relaxation(sf, lo, up, tol=fw_tol, basis=basis,
+        status, x, val, gap, _, basis = solve_relaxation(sf, lo, up, tol=FW_TOL, basis=basis,
                                                          deadline=deadline)
         if status == "infeasible":
             continue
@@ -82,7 +81,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
             lost_bound = min(lost_bound, bound0)
             continue
         bound = val - gap
-        if bound >= incumbent - gap_tol:
+        if bound >= incumbent - GAP_TOL:
             continue
         frac = np.abs(x[bin_ids] - np.round(x[bin_ids])) if bin_ids.size else np.empty(0)
         if frac.size == 0 or frac.max() <= INT_TOL:

@@ -17,6 +17,7 @@ from .simplex import (_STATUS_MAP, SimplexOut, result_from_simplex, solve_standa
                       standard_form)
 
 DEFAULT_TOL = 1e-6
+FW_TOL = 1e-8  # the gap of relaxations inside B&B, the pattern oracle and MPCC search
 DEFAULT_MAX_ITER = 100000
 
 

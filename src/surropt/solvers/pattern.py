@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..model import Model
-from .frank_wolfe import relaxation_result, solve_relaxation
+from .frank_wolfe import FW_TOL, relaxation_result, solve_relaxation
 from .result import SolveResult, Status
 from .simplex import solve_standard_form, standard_form
 
@@ -118,7 +118,7 @@ def branch_descent(sf, neurons, leaf, margin=0.0):
 
 
 def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
-                            fw_tol: float = 1e-8) -> SolveResult:
+                            fw_tol: float = FW_TOL) -> SolveResult:
     """Global oracle: exhaust all 2^n branch assignments and keep the best.
 
     Each assignment fixes every pair's branch, making the remaining problem a
@@ -155,22 +155,19 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
                        best_bound=obj, pattern=pattern)
 
 
-def _pattern_from_point(model, neurons, point, tol=BOUNDARY_TOL):
+def _pattern_from_point(model, neurons, point):
     arr = model.point_array(point)
-    return {lab for lab, y, _, _ in neurons if arr[y] > tol}
+    return {lab for lab, y, _, _ in neurons if arr[y] > BOUNDARY_TOL}
 
 
 def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
-                     net=None, max_rounds: int = 1000,
-                     boundary_tol: float = BOUNDARY_TOL,
-                     improve_tol: float = IMPROVE_TOL,
-                     fw_tol: float = 1e-8) -> SolveResult:
+                     net=None, max_rounds: int = 1000) -> SolveResult:
     """Pattern local search for complementarity models.
 
     Solves the convex subproblem of the current branch fixing, then tries
     single flips at the degenerate pairs (y = s = 0 at the subproblem
     optimum, in neuron index order) and accepts the first flip improving by
-    more than ``improve_tol``; terminates when none does.  The final
+    more than ``IMPROVE_TOL``; terminates when none does.  The final
     subproblem's duals are the complementarity multipliers.
     """
     neurons = _gather_neurons(handles)
@@ -181,7 +178,7 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
         active = {lab for lab, *_ in neurons
                   if lab[1] in start_pattern or lab in start_pattern}
     elif start is not None:
-        active = _pattern_from_point(model, neurons, start, boundary_tol)
+        active = _pattern_from_point(model, neurons, start)
     else:
         raise ValueError("mpcc_local_solve needs a starting point or pattern")
 
@@ -194,7 +191,7 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
 
     def solve_pattern(act):
         bounds = pattern_bounds(act)
-        return None if bounds is None else solve_relaxation(sf, *bounds, tol=fw_tol)
+        return None if bounds is None else solve_relaxation(sf, *bounds, tol=FW_TOL)
 
     cur = solve_pattern(active)
     if cur is None or cur.status == "infeasible":
@@ -207,7 +204,7 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
                                pattern=frozenset(nid for _, nid in active))
         x = cur.x
         boundary = [n for n in neurons
-                    if x[n[1]] <= boundary_tol and x[n[2]] <= boundary_tol]
+                    if x[n[1]] <= BOUNDARY_TOL and x[n[2]] <= BOUNDARY_TOL]
         improved = unjudged = False
         for neuron in boundary:
             lab = neuron[0]
@@ -218,7 +215,7 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
                 continue
             if out.status == "limit":
                 unjudged = True
-            elif out.status == "unbounded" or out.value < cur.value - improve_tol:
+            elif out.status == "unbounded" or out.value < cur.value - IMPROVE_TOL:
                 active, cur = flipped, out
                 improved = True
                 break
@@ -227,7 +224,7 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
 
     # the final subproblem's solve already holds the duals and reduced costs
     lo, up = pattern_bounds(active)
-    res = relaxation_result(model, replace(sf, lower=lo, upper=up), cur, fw_tol)
+    res = relaxation_result(model, replace(sf, lower=lo, upper=up), cur, FW_TOL)
     if res.status == Status.OPTIMAL:
         # locally optimal, no global bound claimed; unverified if a flip hit a limit
         res.status = Status.LIMIT if unjudged else Status.FEASIBLE

@@ -3,6 +3,7 @@ import pytest
 
 from surropt.encoders import (
     EXACT_MIP,
+    LP_RELAX,
     InconsistentBoxError,
     convex_hull_constraints,
     encode_mip,
@@ -12,6 +13,7 @@ from surropt.encoders import (
 )
 from surropt.model import Model
 from surropt.nn import Layer, Network, NeuronId, forward_with_preactivations, random_network
+from surropt.solvers import simplex
 from surropt.solvers.simplex import lp_solve
 
 from conftest import LIN, RELU, single_neuron_net
@@ -94,6 +96,20 @@ def test_tighten_modes_monotone(rng):
         assert bl.my[nid] <= bi.my[nid] + 1e-9
         assert be.ms[nid] <= bl.ms[nid] + 1e-9
         assert bl.ms[nid] <= bi.ms[nid] + 1e-9
+
+
+@pytest.mark.parametrize("mode", [LP_RELAX, EXACT_MIP])
+def test_tighten_single_hidden_layer_is_the_interval_bounds(rng, monkeypatch, mode):
+    # interval propagation is exact on the first layer, so no LP is solved
+    def no_lp(*args, **kwargs):
+        raise AssertionError("tighten_bounds solved an LP")
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", no_lp)
+    for sizes in ([1, 3, 1], [3, 8, 2]):
+        net = random_network(rng, sizes)
+        box = (rng.uniform(-2.0, 0.0, sizes[0]), rng.uniform(0.0, 2.0, sizes[0]))
+        bt, bi = tighten_bounds(net, box, mode=mode), interval_bounds(net, box)
+        assert (bt.my, bt.ms) == (bi.my, bi.ms)
 
 
 def test_tighten_infeasible_box_raises():

@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import linprog
 
+from surropt.encoders import interval_bounds, tighten_bounds
 from surropt.model import Model
-from surropt.nn import random_network
+from surropt.nn import NeuronId, random_network
 from surropt.regions import enumerate_nonempty_patterns, generalized_jacobian
 from surropt.solvers import simplex
 from surropt.solvers.branch_bound import milp_solve
@@ -268,3 +269,67 @@ def test_hull_vertices_start_from_an_ancestor_basis(monkeypatch):
     cold = _cold_tableaux(monkeypatch)
     assert len(generalized_jacobian(net, x).vertices) == 4
     assert cold[0] <= 2
+
+
+def test_tightening_builds_one_tableau_per_layer_after_the_first(monkeypatch):
+    net = random_network(np.random.default_rng(0), [2, 6, 5, 4, 1])
+    cold = _cold_tableaux(monkeypatch)
+    tighten_bounds(net, (np.full(2, -1.0), np.full(2, 1.0)))
+    assert cold[0] == 2  # each later neuron's max and min start from the last basis
+
+
+def big_m_relaxation(net, box, bounds, upto):
+    """linprog arguments (without costs) of the LP relaxation of the big-M
+    rows of hidden layers [0, upto) over ``box``, and the columns of the last
+    encoded layer's outputs."""
+    col_bounds = list(zip(box[0], box[1]))
+    eq, ub = [], []  # (row as {column: coefficient}, right-hand side)
+    prev = list(range(len(col_bounds)))
+    for li in range(upto):
+        lay = net.hidden_layers[li]
+        nxt = []
+        for i in range(lay.fan_out):
+            my, ms = bounds.for_neuron(NeuronId(li, i))
+            y, s, z = range(len(col_bounds), len(col_bounds) + 3)
+            col_bounds += [(0.0, my), (0.0, ms), (0.0, 1.0)]
+            row = {y: 1.0, s: -1.0}
+            row.update({p: -w for p, w in zip(prev, lay.weights[i])})
+            eq.append((row, lay.bias[i]))
+            ub.append(({y: 1.0, z: my}, my))
+            ub.append(({s: 1.0, z: -ms}, 0.0))
+            nxt.append(y)
+        prev = nxt
+
+    def dense(rows):
+        A = np.zeros((len(rows), len(col_bounds)))
+        for r, (row, _) in enumerate(rows):
+            for j, coef in row.items():
+                A[r, j] = coef
+        return A, np.array([rhs for _, rhs in rows])
+
+    (A_eq, b_eq), (A_ub, b_ub) = dense(eq), dense(ub)
+    return dict(A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=col_bounds), prev
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hst.integers(0, 2**32 - 1), n_in=hst.integers(1, 3),
+       widths=hst.lists(hst.integers(1, 5), min_size=2, max_size=3))
+def test_tightened_bounds_match_highs_on_the_upstream_relaxation(seed, n_in, widths):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, [n_in, *widths, 1])
+    lo = np.round(rng.uniform(-2.0, 0.0, n_in), 1)
+    box = (lo, lo + np.round(rng.uniform(0.1, 2.0, n_in), 1))
+    bounds, interval = tighten_bounds(net, box), interval_bounds(net, box)
+    for li in range(1, len(widths)):
+        kwargs, prev = big_m_relaxation(net, box, bounds, li)
+        lay = net.hidden_layers[li]
+        for i in range(lay.fan_out):
+            nid = NeuronId(li, i)
+            c = np.zeros(len(kwargs["bounds"]))
+            c[prev] = lay.weights[i]
+            top, bottom = highs_reference(dict(kwargs, c=-c)), highs_reference(dict(kwargs, c=c))
+            assert top.status == 0 and bottom.status == 0
+            my = min(interval.my[nid], max(0.0, lay.bias[i] - top.fun))
+            ms = min(interval.ms[nid], max(0.0, -(lay.bias[i] + bottom.fun)))
+            assert abs(bounds.my[nid] - my) <= 1e-7
+            assert abs(bounds.ms[nid] - ms) <= 1e-7

@@ -15,7 +15,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from surropt import regions
 from surropt import stationarity as st
-from surropt.encoders import encode_mip, encode_mpcc, interval_bounds
+from surropt.encoders import (InconsistentBoxError, encode_mip, encode_mpcc, interval_bounds,
+                              tighten_bounds)
 from surropt.model import Model
 from surropt.nn import random_network
 from surropt.solvers import branch_bound, pattern, simplex
@@ -80,6 +81,27 @@ def test_bb_keeps_the_bound_of_a_node_lost_to_a_limit(monkeypatch):
     assert res.status is Status.FEASIBLE
     assert res.objective > opt + 1e-3  # the lost node held the optimum
     assert res.best_bound <= opt + 1e-9
+
+
+def test_bb_zero_time_limit_explores_no_node():
+    m, _ = _box_model(random_network(np.random.default_rng(0), [2, 10, 1]), "mip")
+    res = branch_bound.milp_solve(m, time_limit=0)
+    assert res.status is Status.LIMIT
+    assert res.nodes == 0
+
+
+def test_tightening_limit_keeps_the_interval_value(monkeypatch):
+    net = random_network(np.random.default_rng(4), [2, 4, 3, 1])
+    box = (np.full(2, -1.0), np.full(2, 1.0))
+    interval = interval_bounds(net, box)
+    assert tighten_bounds(net, box).my != interval.my
+    calls = _inject(monkeypatch, "limit", lambda k, kw: True)
+    limited = tighten_bounds(net, box)
+    assert calls[0] == 2 * 3  # the max and min of each second-layer neuron
+    assert (limited.my, limited.ms) == (interval.my, interval.ms)
+    _inject(monkeypatch, "infeasible", lambda k, kw: True)
+    with pytest.raises(InconsistentBoxError):
+        tighten_bounds(net, box)
 
 
 def _oracle_instance():
