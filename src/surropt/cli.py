@@ -222,14 +222,13 @@ def cmd_solve(args) -> int:
             warm = None
             if args.warmstart:
                 if args.warmstart == "auto":
-                    warm = _auto_warmstart(bundle, model, handles)
+                    warm = _auto_warmstart(bundle, model, handles).point
                 else:
                     with open(args.warmstart) as fh:
                         raw = json.load(fh)
-                    warm = type("W", (), {"point": {int(k): float(v)
-                                                    for k, v in raw.items()}})()
+                    warm = {int(k): float(v) for k, v in raw.items()}
             if args.solver == "milp":
-                res = milp_solve(model, warmstart=warm.point if warm else None,
+                res = milp_solve(model, warmstart=warm,
                                  max_nodes=args.max_nodes, time_limit=args.time_limit)
             elif args.solver == "oracle":
                 res = pattern_enumerate_solve(model, emb)
@@ -237,7 +236,7 @@ def cmd_solve(args) -> int:
                 if formulation != MPCC:
                     raise SystemExit("mpcc-local needs --formulation mpcc")
                 if warm is not None:
-                    res = mpcc_local_solve(model, emb, start=warm.point)
+                    res = mpcc_local_solve(model, emb, start=warm)
                 else:
                     start_pat = _default_start_pattern(bundle)
                     res = mpcc_local_solve(model, emb, start_pattern=start_pat)

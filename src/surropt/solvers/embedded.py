@@ -28,6 +28,9 @@ from .result import SolveResult, Status, TraceRecord
 
 DEFAULT_MAX_ITER = 3000
 DEFAULT_TOL = 1e-6
+# Frank-Wolfe gap and step budget of one projection onto a PolytopeRegion
+PROJECTION_GAP_TOL = 1e-9
+PROJECTION_MAX_ITER = 5000
 
 log = logging.getLogger(__name__)
 
@@ -70,7 +73,7 @@ class BoxRegion:
 class PolytopeRegion:
     """Input region {x: A x <= b, lower <= x <= upper}; projection by Frank-Wolfe."""
 
-    def __init__(self, A, b, lower, upper, gap_tol=1e-9, max_iter=5000):
+    def __init__(self, A, b, lower, upper):
         from ..model import Model
         from .simplex import standard_form
 
@@ -78,8 +81,6 @@ class PolytopeRegion:
         self.b = np.asarray(b, dtype=float).reshape(-1)
         self.lower = np.asarray(lower, dtype=float).reshape(-1)
         self.upper = np.asarray(upper, dtype=float).reshape(-1)
-        self.gap_tol = gap_tol
-        self.max_iter = max_iter
         n = self.lower.shape[0]
         mdl = Model()
         ids = [mdl.add_variable(f"x[{j}]", lower=self.lower[j], upper=self.upper[j])
@@ -103,7 +104,7 @@ class PolytopeRegion:
         c[: self._n] = -2.0 * p
         quad = tuple((j, j, 1.0) for j in range(self._n))
         out = solve_relaxation(replace(sf, c=c, c0=float(p @ p), sign=1.0, quad=quad),
-                               tol=self.gap_tol, max_iter=self.max_iter)
+                               tol=PROJECTION_GAP_TOL, max_iter=PROJECTION_MAX_ITER)
         if out.status != "optimal":
             raise ValueError(f"projection onto the region failed: its LP is {out.status}")
         return out.x[: self._n].copy()

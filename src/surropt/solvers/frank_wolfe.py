@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..model import Model
+from ..model import BINARY, Model
 from .result import SolveResult, Status
 from .simplex import (_STATUS_MAP, SimplexOut, result_from_simplex, solve_standard_form,
                       standard_form)
@@ -118,7 +118,7 @@ def qp_frank_wolfe(model: Model, tol: float = DEFAULT_TOL,
     Terminates when the Frank-Wolfe duality gap drops below ``tol``; the gap
     bounds the true suboptimality, and ``best_bound`` reports value - gap.
     """
-    if any(v.kind == "binary" for v in model.variables):
+    if any(v.kind == BINARY for v in model.variables):
         raise ValueError("qp_frank_wolfe does not accept binary variables")
     if model.complementarities:
         raise ValueError("qp_frank_wolfe does not accept complementarity pairs")

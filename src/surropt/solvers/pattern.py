@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..model import Model
+from ..model import BINARY, Model
 from .frank_wolfe import FW_TOL, relaxation_result, solve_relaxation
 from .result import SolveResult, Status
 from .simplex import solve_standard_form, standard_form
@@ -43,7 +43,7 @@ def _check_free_binaries(model, neurons):
     """Binaries outside the embeddings would be silently relaxed; refuse them."""
     handle_zs = {z for _, _, _, z in neurons if z is not None}
     for var in model.variables:
-        if var.kind == "binary" and var.lower < var.upper and var.id not in handle_zs:
+        if var.kind == BINARY and var.lower < var.upper and var.id not in handle_zs:
             raise ValueError(
                 f"free binary {var.name!r} outside the embeddings; "
                 "fix binaries (or branch over them) before pattern solves")

@@ -1,26 +1,32 @@
-"""Dense two-phase primal simplex over bounded variables.
+"""Dense bounded-variable simplex: one dual-then-primal path for every start.
 
 Deliberately dense: the problems this package builds are desk scale (hundreds
-of rows).  The pivot loop keeps an explicit basis inverse and applies a
-rank-1 (product-form, eta) update after each basis change, so a pivot costs a
-few matrix-vector products; the inverse is recomputed from scratch every
+of rows).  The pivot loops keep an explicit basis inverse and apply a rank-1
+(product-form, eta) update after each basis change, so a pivot costs a few
+matrix-vector products; the inverse is recomputed from scratch every
 ``REFACTOR_EVERY`` basis changes, whenever an update looks numerically unsafe,
-and before the loop reports optimality (Forrest & Tomlin 1972; Bixby 2002).
-Duals and the final point come from a fresh LU factorization.  Dantzig
+and before the primal loop reports optimality (Forrest & Tomlin 1972; Bixby
+2002).  The point and the duals come from that last fresh inverse.  Dantzig
 pricing with a permanent switch to Bland's rule once degenerate pivots pile
 up gives finite termination.
 
-An optimal solve hands back its final basis (``SimplexOut.basis``), and a
-later solve of the same rows under other bounds or costs can start from it
-instead of from a crash basis with artificials.  The warm path snaps the
-nonbasic variables to the new bounds and takes one fresh inverse.  If the
-reduced costs are still dual feasible (only bounds changed, as between a
-branch-and-bound node and its children), a bounded dual simplex restores
-primal feasibility; otherwise a dual run with zero costs does, and the
-primal simplex then optimizes the costs (a cost change alone, as between
-Frank-Wolfe steps, takes no dual pivot).  A dual run that finds no entering
-column proves the LP infeasible.  A run that hits its limit or a numerical
-failure sends the LP down the cold path (Koberstein 2005; Bixby 2002).
+Every solve starts from a basis, inverts it once, restores primal
+feasibility with a bounded dual simplex and then optimizes the costs with
+the primal simplex.  The dual runs on the costs when the start is dual
+feasible for them (only bounds changed, as between a branch-and-bound node
+and its children), else on zero costs, for which every basis is dual
+feasible (a cost change alone, as between Frank-Wolfe steps, takes no dual
+pivot).  A dual run that finds no entering column proves the LP infeasible.
+Only the start differs (Koberstein 2005; Bixby 2002):
+
+* cold: a crash basis of slacks, plus an artificial column fixed at 0 for
+  each row no slack can absorb; the dual drives the artificials to 0, and
+  one still basic there is then swapped for a structural column of its row
+  (a row with none is redundant);
+* warm: the final basis of an earlier optimal solve of the same rows
+  (``SimplexOut.basis``), its nonbasics snapped to the new bounds.  A warm
+  start that hits its dual-pivot budget, its iteration limit or a numerical
+  failure is solved cold instead.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ..model import BINARY, EQ, LE, MIN, Model
 from .result import NumericalError, SolveResult, Status
@@ -118,9 +123,7 @@ class _Tableau:
     def __init__(self, A, b, lower, upper, slack_col, start=None):
         self.m = A.shape[0]
         self.A, self.b = A, b
-        self.lower = lower.copy()
-        self.upper = upper.copy()
-        self.nart = 0
+        self.lower, self.upper = lower, upper
         if start is None:
             self._crash(slack_col)
         else:
@@ -135,7 +138,8 @@ class _Tableau:
 
     def _crash(self, slack_col):
         """Cold start: nonbasics at their nearest finite bound (free ones at 0),
-        each row's slack basic where it absorbs the residual, else an artificial."""
+        each row's slack basic where it absorbs the residual, else an artificial
+        fixed at 0 that starts at the residual's size."""
         A, b, lower, upper = self.A, self.b, self.lower, self.upper
         m, n = A.shape
         x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
@@ -165,13 +169,12 @@ class _Tableau:
                 E[i, col] = s
             self.A = np.hstack([A, E])
             self.lower = np.concatenate([lower, np.zeros(len(art_cols))])
-            self.upper = np.concatenate([upper, np.full(len(art_cols), INF)])
+            self.upper = np.concatenate([upper, np.zeros(len(art_cols))])
             x = np.concatenate([x, np.abs(resid[art_cols])])
             state = np.concatenate([state, np.full(len(art_cols), BASIC, dtype=np.int8)])
         self.x = x
         self.state = state
         self.basis = basis
-        self.nart = len(art_cols)
 
     def _snap(self, basis, state):
         """Warm start from an earlier basis: each nonbasic keeps its bound if
@@ -184,21 +187,6 @@ class _Tableau:
         self.basis = basis.copy()
         self.x = np.where(self.state == AT_LOWER, self.lower,
                           np.where(self.state == AT_UPPER, self.upper, 0.0))
-
-    def _factor(self):
-        B = self.A[:, self.basis]
-        try:
-            lu = lu_factor(B, check_finite=False)
-        except Exception as exc:  # pragma: no cover - singular basis
-            raise NumericalError(f"basis factorization failed: {exc}") from exc
-        return lu
-
-    def _refresh_basics(self, lu):
-        contrib = self.A @ self.x - self.A[:, self.basis] @ self.x[self.basis]
-        xb = lu_solve(lu, self.b - contrib, check_finite=False)
-        if not np.isfinite(xb).all():
-            raise NumericalError("singular basis during refactorization")
-        self.x[self.basis] = xb
 
     def _invert(self):
         """Fresh explicit basis inverse, and the basic values recomputed from it."""
@@ -213,7 +201,7 @@ class _Tableau:
 
     def _refresh(self):
         """A fresh inverse if eta updates were applied, then fresh basic values."""
-        if self.Binv is None or self._etas:
+        if self._etas:
             self._invert()
         else:
             self._recompute_basics()
@@ -394,27 +382,18 @@ class _Tableau:
             self._replace(r, q, u)
             fresh = self._etas == 0
 
-    def drive_out_artificials(self, feas_tol):
-        """After phase 1: pivot artificials out of the basis or pin redundant rows."""
-        art_start = self.ntot - self.nart
-        self.x[art_start:] = np.where(np.abs(self.x[art_start:]) <= feas_tol,
-                                      0.0, self.x[art_start:])
-        for k in range(self.m):
-            j = self.basis[k]
-            if j < art_start:
-                continue
-            row = self.Binv[k] @ self.A[:, :art_start]
-            candidates = np.flatnonzero(
-                (np.abs(row) > 1e-7) & (self.state[:art_start] != BASIC)
-            )
+    def pivot_out_artificials(self, n):
+        """Swap each artificial still basic (at 0, after the dual) for the
+        nonbasic column among the first n with the largest entry in its row;
+        an artificial whose row has none stays, its row being redundant."""
+        for k in np.flatnonzero(self.basis >= n):
+            row = self.Binv[k] @ self.A[:, :n]
+            candidates = np.flatnonzero((np.abs(row) > 1e-7) & (self.state[:n] != BASIC))
             if candidates.size:
                 enter = int(candidates[np.argmax(np.abs(row[candidates]))])
-                self.state[j] = AT_LOWER
-                self.x[j] = 0.0
+                self.state[self.basis[k]] = AT_LOWER
+                self.x[self.basis[k]] = 0.0
                 self._replace(k, enter, self.Binv @ self.A[:, enter])
-        # artificials may never move again
-        self.lower[art_start:] = 0.0
-        self.upper[art_start:] = 0.0
 
 
 def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
@@ -436,71 +415,45 @@ def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
     if maxiter is None:
         maxiter = 200 * (m + ntot) + 2000
     feas_scale = FEAS_TOL * max(1.0, float(np.abs(sf.b).max(initial=0.0)))
-    if basis is not None:
-        out = _solve_warm(sf, c_struct, lo, up, basis, maxiter, feas_scale)
-        if out is not None:
-            return out
-    tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col)
-    if tab.nart:
-        c1 = np.zeros(tab.ntot)
-        c1[ntot:] = 1.0
-        status = tab.run(c1, maxiter)
-        if status == "limit":
-            return SimplexOut("limit", tab.x[:ntot], math.nan, tab.pi,
-                              np.zeros(ntot), tab.iterations)
-        phase1 = float(np.abs(tab.x[ntot:]).sum())
-        if phase1 > feas_scale:
-            return SimplexOut("infeasible", tab.x[:ntot], math.nan, tab.pi,
-                              np.zeros(ntot), tab.iterations)
-        tab.drive_out_artificials(feas_scale)
-    c_full = np.zeros(tab.ntot)
-    c_full[:ntot] = c_struct
-    return _finish(sf, tab, c_full, tab.run(c_full, maxiter))
+    # a warm start that stops at a limit or fails numerically is solved cold
+    for start in (None,) if basis is None else (basis, None):
+        tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col, start)
+        c = np.zeros(tab.ntot)  # artificials cost nothing
+        c[:ntot] = c_struct
+        try:
+            tab._invert()
+            dual_c = c if tab.dual_feasible(c) else np.zeros_like(c)
+            status = tab.dual(dual_c, feas_scale,
+                              maxiter if start is None else min(maxiter, DUAL_LIMIT))
+            if status == "feasible":
+                tab.pivot_out_artificials(ntot)
+                status = tab.run(c, maxiter)
+        except NumericalError:
+            if start is None:
+                raise
+            continue
+        if start is None or status != "limit":
+            return _finish(sf, tab, c, status)
 
 
-def _solve_warm(sf, c, lo, up, start, maxiter, feas_scale):
-    """Re-solve from an earlier basis; None when the LP must be solved cold.
-
-    A dual run restores primal feasibility: with the costs c when the basis
-    is dual feasible for them (bound changes after a solve with the same
-    costs), else with zero costs, after which the primal simplex optimizes
-    c (a cost change on a primal feasible basis needs no dual pivot).  A
-    dual or primal run that hits its limit, or numerical trouble, sends the
-    LP to the cold path, so a warm start never reports a limit of its own.
-    """
-    tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col, start)
-    try:
-        tab._invert()
-        dual_c = c if tab.dual_feasible(c) else np.zeros_like(c)
-        status = tab.dual(dual_c, feas_scale, min(maxiter, DUAL_LIMIT))
-        if status == "infeasible":
-            return SimplexOut("infeasible", tab.x.copy(), math.nan, tab.pi,
-                              np.zeros(len(c)), tab.iterations)
-        if status == "limit":
-            return None
-        status = tab.run(c, maxiter)
-        if status == "limit":
-            return None
-        return _finish(sf, tab, c, status)
-    except NumericalError:
-        return None
-
-
-def _finish(sf, tab, c_full, status):
-    """Point, duals and reduced costs from a fresh LU of the final basis; the
-    basis is kept for warm starts when the solve is optimal and no
-    artificial stayed basic."""
+def _finish(sf, tab, c, status):
+    """Point, duals and reduced costs from the kept basis inverse, which
+    ``run`` leaves fresh unless it stopped at its limit; the basis is kept
+    for warm starts when the solve is optimal and no artificial stayed basic."""
     ntot = sf.A.shape[1]
-    lu = tab._factor()
-    tab._refresh_basics(lu)
-    pi = lu_solve(lu, c_full[tab.basis], trans=1, check_finite=False)
-    reduced = c_full[:ntot] - sf.A.T @ pi
-    x = tab.x[:ntot]
-    obj = float(c_full[:ntot] @ x) + sf.c0
+    if status == "infeasible":
+        return SimplexOut(status, tab.x[:ntot].copy(), math.nan, tab.pi,
+                          np.zeros(ntot), tab.iterations)
+    if status == "limit":
+        tab._refresh()
+        tab.pi = c[tab.basis] @ tab.Binv
+    x = tab.x[:ntot].copy()
+    reduced = c[:ntot] - tab.pi @ sf.A
+    obj = float(c[:ntot] @ x) + sf.c0
     basis = None
     if status == "optimal" and tab.basis.max(initial=-1) < ntot:
         basis = (tab.basis.copy(), tab.state[:ntot].copy())
-    return SimplexOut(status, x.copy(), obj, pi, reduced, tab.iterations, basis)
+    return SimplexOut(status, x, obj, tab.pi, reduced, tab.iterations, basis)
 
 
 _STATUS_MAP = {

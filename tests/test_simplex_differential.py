@@ -17,6 +17,7 @@ from scipy.optimize import linprog
 from surropt.encoders import interval_bounds, tighten_bounds
 from surropt.model import Model
 from surropt.nn import NeuronId, random_network
+from surropt.problems import build_engine
 from surropt.regions import enumerate_nonempty_patterns, generalized_jacobian
 from surropt.solvers import simplex
 from surropt.solvers.branch_bound import milp_solve
@@ -25,6 +26,7 @@ from surropt.solvers.result import Status
 from surropt.solvers.simplex import REFACTOR_EVERY, lp_solve
 
 from conftest import two_fold_kink
+from test_problems import engine_relu_spec
 from test_status_propagation import _box_model, _oracle_instance
 
 REL_TOL = 1e-7
@@ -135,8 +137,8 @@ def test_long_solve_refactors_once_per_interval(monkeypatch):
     model, kwargs = random_lp(7, 60, 90)
     etas_at_inversion = []  # eta updates each fresh inverse replaced
     stale_optimal = []  # runs that reported "optimal" from an updated inverse
-    lu_calls = [0]
-    invert, run, lu_factor = simplex._Tableau._invert, simplex._Tableau.run, simplex.lu_factor
+    finish_inversions = []  # fresh inverses taken inside _finish, per solve
+    invert, run, finish = simplex._Tableau._invert, simplex._Tableau.run, simplex._finish
 
     def counting_invert(tab):
         etas_at_inversion.append(tab._etas)
@@ -148,24 +150,26 @@ def test_long_solve_refactors_once_per_interval(monkeypatch):
             stale_optimal.append(tab._etas)
         return status
 
-    def counting_lu(*args, **kw):
-        lu_calls[0] += 1
-        return lu_factor(*args, **kw)
+    def counting_finish(sf, tab, c, status):
+        before = len(etas_at_inversion)
+        out = finish(sf, tab, c, status)
+        finish_inversions.append(len(etas_at_inversion) - before)
+        return out
 
     monkeypatch.setattr(simplex._Tableau, "_invert", counting_invert)
     monkeypatch.setattr(simplex._Tableau, "run", checking_run)
-    monkeypatch.setattr(simplex, "lu_factor", counting_lu)
+    monkeypatch.setattr(simplex, "_finish", counting_finish)
     res = assert_matches_highs(model, kwargs)
     assert res.status is Status.OPTIMAL
     intervals = res.iterations // REFACTOR_EVERY
     assert intervals >= 3
     # a fresh inverse at least every interval, not one per pivot: one per
     # interval plus at most one at the start and one before "optimal" in
-    # each phase; the LU behind the final duals is the only LU
+    # each phase; the final duals reuse the inverse "optimal" was priced on
     assert max(etas_at_inversion) <= REFACTOR_EVERY
     assert len(etas_at_inversion) <= intervals + 5
     assert not stale_optimal
-    assert lu_calls[0] == 1
+    assert finish_inversions == [0]
 
 
 def assert_warm_matches_highs(model, kwargs, lower, upper, c, basis):
@@ -227,6 +231,29 @@ def test_warm_start_after_a_cost_change_matches_highs(seed, m, n, cost_seed):
     c = np.zeros_like(sf.c)
     c[:n] = np.round(np.random.default_rng(cost_seed).uniform(-2, 2, n), 1)
     assert_warm_matches_highs(model, kwargs, sf.lower, sf.upper, c, out.basis)
+
+
+def test_optimal_cold_solves_hand_back_a_basis():
+    # an artificial the dual leaves basic at 0 is swapped for a structural
+    # column of its row; only a redundant row may keep one, so an optimal
+    # solve of full-row-rank rows always returns a basis to warm-start from
+    optimal = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        model, _ = random_lp(seed, int(rng.integers(1, 15)), int(rng.integers(1, 15)))
+        sf = simplex.standard_form(model)
+        if np.linalg.matrix_rank(sf.A) < sf.A.shape[0]:
+            continue
+        out = simplex.solve_standard_form(sf)
+        if out.status == "optimal":
+            optimal += 1
+            assert out.basis is not None, seed
+    assert optimal >= 50
+    model, _ = build_engine(engine_relu_spec(np.random.default_rng(7), T=2, hidden=4), "mip")
+    sf = simplex.standard_form(model)
+    assert np.linalg.matrix_rank(sf.A) == sf.A.shape[0]
+    out = simplex.solve_standard_form(sf)
+    assert out.status == "optimal" and out.basis is not None
 
 
 def _cold_tableaux(monkeypatch):
