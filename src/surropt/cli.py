@@ -404,13 +404,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _log_level() -> int:
+    name = os.environ.get("SURROPT_LOG", "WARNING").upper()
+    level = logging.getLevelName(name)  # the number for a known name
+    if not isinstance(level, int):
+        raise ValueError(f"SURROPT_LOG={name!r} is not a logging level name "
+                         "such as DEBUG or WARNING")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SURROPT_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     for name, fallback in (("json", False), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, fallback)
     try:
+        logging.basicConfig(level=_log_level())
         return args.func(args)
     except (sio.FormatError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .model import GE, LE, MIN, Model
 from .nn import (
@@ -68,6 +67,10 @@ def _eval_gradients(f, c, x, y, mu):
 
 def _estimate_mu(net, x, y, f, c, act_tol=ACTIVE_TOL):
     """Nonnegative least squares on the composed chain, inactive rows pinned to 0."""
+    # scipy.optimize is imported here, not at module level: it is the only
+    # scipy use in the package and costs more than the rest of `import surropt`.
+    from scipy.optimize import nnls
+
     from .nn import affine_piece, sign_partition
 
     cvals = np.asarray(c.value(y, x), dtype=float).reshape(-1)

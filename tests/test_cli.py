@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surropt
 from surropt import io as sio
 from surropt.cli import main
-from surropt.nn import Layer, Network, random_network
+from surropt.nn import random_network
 
-from conftest import LIN
+from conftest import single_neuron_net
 
 
 def run(capsys, *argv):
@@ -54,8 +59,7 @@ def test_general_position_command(tmp_path, capsys, rng):
 
 
 def test_stationarity_command(tmp_path, capsys):
-    net = Network((Layer([[1.0]], [-1.0], __import__("surropt.nn", fromlist=["Activation"]).Activation("relu")),
-                   Layer([[1.0]], [0.0], LIN)))
+    net = single_neuron_net()  # relu(x - 1)
     netp = tmp_path / "net.json"
     sio.save_network(net, netp)
     pt = tmp_path / "point.json"
@@ -156,6 +160,74 @@ def test_error_exit_code(tmp_path, capsys):
                        "--regions")
     assert code == 1
     assert err.strip()
+
+
+def test_invalid_log_level_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("SURROPT_LOG", "verbose")
+    code, out, err = run(capsys, "analyze", "--zaslavsky", "3", "2")
+    assert code == 1
+    assert not out
+    assert err.startswith("error: ") and "VERBOSE" in err
+    monkeypatch.setenv("SURROPT_LOG", "debug")
+    assert run(capsys, "analyze", "--zaslavsky", "3", "2")[0] == 0
+
+
+# Runs CLI commands in one fresh interpreter and prints, as its last line,
+# their exit codes and the scipy modules loaded by then.  The check cannot run
+# in this process: the test modules import scipy themselves.
+SCIPY_PROBE = """
+import json, sys
+import surropt, surropt.cli
+codes = [surropt.cli.main(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def run_fresh(tmp_path, *argvs):
+    env = dict(os.environ)
+    env.pop("SURROPT_LOG", None)
+    src = str(Path(surropt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           *(json.dumps(a) for a in argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *printed, probe = proc.stdout.splitlines()
+    return json.loads(probe), "\n".join(printed)
+
+
+def test_cli_commands_load_no_scipy(tmp_path, rng):
+    spec = engine_files(tmp_path, rng)
+    model_path = str(tmp_path / "engine.lp")
+    doc, _ = run_fresh(
+        tmp_path,
+        ["--json", "encode", "--problem", str(spec), "--formulation", "mip",
+         "-o", model_path],
+        ["--json", "solve", "--model", model_path, "--solver", "milp"],
+        ["--json", "solve", "--problem", str(spec), "--formulation", "mpcc",
+         "--solver", "mpcc-local"],
+        ["--json", "solve", "--problem", str(spec), "--solver", "embedded"])
+    assert doc == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+def test_stationarity_without_mu_imports_nnls_on_use(tmp_path):
+    # relu(x - 1) at x = 2, min -x s.t. x <= 2 (active) and -x <= 5 (inactive)
+    net = single_neuron_net()
+    sio.save_network(net, tmp_path / "net.json")
+    pt = tmp_path / "point.json"
+    pt.write_text(json.dumps({"x": [2.0], "f_x": [-1.0], "f_y": [0.0],
+                              "C_x": [[1.0], [-1.0]], "C_y": [[0.0], [0.0]],
+                              "d": [2.0, 5.0]}))
+    doc, printed = run_fresh(tmp_path, ["--json", "analyze", "--net",
+                                        str(tmp_path / "net.json"),
+                                        "--stationarity", str(pt)])
+    assert doc["codes"] == [0]
+    assert "scipy.optimize" in doc["scipy"]
+    cert = json.loads(printed)["embedded"]
+    assert cert["estimated_mu"] and cert["accepted"]
+    assert cert["mu"] == pytest.approx([1.0, 0.0])
 
 
 def test_solve_mpcc_local_without_warmstart(tmp_path, capsys, rng):

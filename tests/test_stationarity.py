@@ -4,7 +4,7 @@ import pytest
 from surropt import stationarity as st
 from surropt.encoders import encode_mpcc
 from surropt.model import Model
-from surropt.nn import NeuronId, forward, random_network, sign_partition
+from surropt.nn import NeuronId, forward, jacobian, random_network, sign_partition
 from surropt.solvers.pattern import mpcc_local_solve, pattern_enumerate_solve
 
 from conftest import single_neuron_net, zero_bias_counterexample
@@ -76,6 +76,37 @@ def test_mu_estimation_is_labeled(rng):
         assert cert.accepted
         return
     pytest.skip("every sampled solution landed on a kink")
+
+
+def test_estimated_mu_solves_the_active_nnls():
+    # mu fits -(f_x + J^T f_y) by (C_x^T + J^T C_y^T) mu over the active rows
+    # only: inactive rows stay 0, and the active entries meet the NNLS
+    # optimality conditions g = M^T (M mu - rhs) >= 0 and mu * g = 0
+    bound_at_zero = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, [3, 5, 2])
+        x = rng.uniform(-1.0, 1.0, 3)
+        if sign_partition(net, x).degenerate:
+            continue
+        y = forward(net, x)
+        Cx, Cy = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        inactive = np.array([False, False, False, False, True, True])
+        d = Cx @ x + Cy @ y + np.where(inactive, 1.0, 0.0)
+        fx, fy = rng.normal(size=3), rng.normal(size=2)
+        mu = st._estimate_mu(net, x, y, st.linear_objective(fx, fy),
+                             st.linear_inequalities(Cx, Cy, d))
+        assert mu.shape == (6,)
+        assert np.all(mu >= 0.0)
+        assert np.all(mu[inactive] == 0.0)
+        J = jacobian(net, x)
+        M = (Cx.T + J.T @ Cy.T)[:, ~inactive]
+        rhs = -(fx + J.T @ fy)
+        g = M.T @ (M @ mu[~inactive] - rhs)
+        assert np.all(g >= -1e-10)
+        np.testing.assert_allclose(mu[~inactive] * g, 0.0, atol=1e-10)
+        bound_at_zero += int(np.sum((mu[~inactive] == 0.0) & (g > 1e-8)))
+    assert bound_at_zero > 0  # some instance holds an active entry at its bound
 
 
 def test_strong_stationarity_solver_chain(rng):
