@@ -2,12 +2,16 @@
 convex-quadratic objectives) node relaxations.
 
 Node selection is best-bound with a depth-first dive until the first
-incumbent; branching picks the most fractional binary.  Single-threaded and
-deterministic.
+incumbent: the open list is a stack during the dive and a heap after it.
+Branching picks the most fractional binary.  Single-threaded and
+deterministic.  Each new incumbent is logged at INFO with the bound, the gap
+and the open and explored node counts.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
 import math
 import time
 
@@ -21,6 +25,8 @@ from .simplex import standard_form
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
 FEAS_TOL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
@@ -52,8 +58,10 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         incumbent_x = full
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    nodes = []  # (bound, seq, lower, upper, parent basis)
-    nodes.append((-math.inf, 0, sf.lower.copy(), sf.upper.copy(), None))
+    # open nodes as (bound, seq, lower, upper, parent basis); seq is unique, so
+    # comparisons never reach the arrays
+    nodes = [(-math.inf, 0, sf.lower.copy(), sf.upper.copy(), None)]
+    heaped = False
     seq = 1
     explored = 0
     limit_hit = False
@@ -63,10 +71,13 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
             limit_hit = True
             break
         if incumbent_x is None:
-            idx = len(nodes) - 1  # dive for a first incumbent
+            node = nodes.pop()  # dive for a first incumbent
         else:
-            idx = min(range(len(nodes)), key=lambda k: (nodes[k][0], nodes[k][1]))
-        bound0, _, lo, up, basis = nodes.pop(idx)
+            if not heaped:
+                heapq.heapify(nodes)
+                heaped = True
+            node = heapq.heappop(nodes)
+        bound0, _, lo, up, basis = node
         if bound0 >= incumbent - GAP_TOL:
             continue
         explored += 1
@@ -88,6 +99,10 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
             if val < incumbent - 1e-12:
                 incumbent = val
                 incumbent_x = x.copy()
+                if log.isEnabledFor(logging.INFO):
+                    low = min([val, lost_bound] + [n[0] for n in nodes])
+                    log.info("incumbent %.10g, bound %.10g, gap %.3g, %d open, %d explored",
+                             sign * val, sign * low, val - low, len(nodes), explored)
             continue
         j = int(bin_ids[np.argmin(np.abs(frac - 0.5))])
         for branch_val in (0.0, 1.0):
@@ -96,7 +111,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
                 up2[j] = 0.0
             else:
                 lo2[j] = 1.0
-            nodes.append((bound, seq, lo2, up2, basis))
+            (heapq.heappush if heaped else list.append)(nodes, (bound, seq, lo2, up2, basis))
             seq += 1
 
     open_bound = min((node[0] for node in nodes), default=incumbent)

@@ -3,7 +3,9 @@
 Fixing every neuron's branch (output side or slack side) turns either
 encoding into a convex LP/QP; enumerating the branch choices yields a global
 oracle, and single-neuron branch flips at degenerate pairs give a verifiable
-local search for the complementarity formulation.
+local search for the complementarity formulation.  A flip changes only
+bounds, so its LP starts from the current subproblem's basis; the search's
+final subproblem is solved cold again when the search moved.
 """
 
 from __future__ import annotations
@@ -167,7 +169,10 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
     Solves the convex subproblem of the current branch fixing, then tries
     single flips at the degenerate pairs (y = s = 0 at the subproblem
     optimum, in neuron index order) and accepts the first flip improving by
-    more than ``IMPROVE_TOL``; terminates when none does.  The final
+    more than ``IMPROVE_TOL``; terminates when none does.  A flip only moves
+    bounds, so its LP starts from the current subproblem's basis; a search
+    that moved re-solves its final pattern cold, so the result does not
+    depend on the path.  ``nodes`` counts the patterns evaluated.  The final
     subproblem's duals are the complementarity multipliers.
     """
     neurons = _gather_neurons(handles)
@@ -189,15 +194,17 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
                 return None
         return lo, up
 
-    def solve_pattern(act):
+    def solve_pattern(act, basis=None):
         bounds = pattern_bounds(act)
-        return None if bounds is None else solve_relaxation(sf, *bounds, tol=FW_TOL)
+        return None if bounds is None else solve_relaxation(sf, *bounds, tol=FW_TOL,
+                                                            basis=basis)
 
     cur = solve_pattern(active)
     if cur is None or cur.status == "infeasible":
         raise NoFeasibleStartError("starting pattern has an empty subproblem")
     subproblems = 1
     unjudged = False  # a flip of the last round whose LP hit a limit
+    moved = False
     for _ in range(max_rounds):
         if cur.status in _LOST:
             return SolveResult(status=_LOST[cur.status], nodes=subproblems,
@@ -209,7 +216,7 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
         for neuron in boundary:
             lab = neuron[0]
             flipped = (active - {lab}) if lab in active else (active | {lab})
-            out = solve_pattern(flipped)
+            out = solve_pattern(flipped, cur.basis)  # a flip keeps cur dual feasible
             subproblems += 1
             if out is None or out.status == "infeasible":
                 continue
@@ -217,12 +224,14 @@ def mpcc_local_solve(model: Model, handles, start=None, start_pattern=None,
                 unjudged = True
             elif out.status == "unbounded" or out.value < cur.value - IMPROVE_TOL:
                 active, cur = flipped, out
-                improved = True
+                improved = moved = True
                 break
         if not improved:
             break
 
-    # the final subproblem's solve already holds the duals and reduced costs
+    if moved:  # a cold final solve: its vertex and duals do not depend on the path
+        cur = solve_pattern(active)
+    # the final subproblem's solve holds the duals and reduced costs
     lo, up = pattern_bounds(active)
     res = relaxation_result(model, replace(sf, lower=lo, upper=up), cur, FW_TOL)
     if res.status == Status.OPTIMAL:

@@ -27,7 +27,7 @@ class SolveResult:
     reduced_costs: dict = field(default_factory=dict)  # var id -> reduced cost
     kkt_residual: float = math.nan
     dual_objective: float = math.nan
-    nodes: int = 0  # branch-and-bound only
+    nodes: int = 0  # B&B nodes explored, or patterns an MPCC local search evaluated
     pattern: frozenset | None = None  # pattern-based solvers only
 
     @property

@@ -4,6 +4,7 @@ import pytest
 from surropt.encoders import encode_mip, encode_mpcc, tighten_bounds
 from surropt.model import Model
 from surropt.nn import NeuronId, random_network, sign_partition
+from surropt.solvers import pattern
 from surropt.solvers.branch_bound import milp_solve
 from surropt.solvers.pattern import (
     NoFeasibleStartError,
@@ -202,3 +203,34 @@ def test_mpcc_local_quadratic_result_equals_frank_wolfe_on_its_final_subproblem(
     assert ref.status is Status.OPTIMAL and res.status is Status.FEASIBLE
     assert res.objective == ref.objective and res.kkt_residual == ref.kkt_residual
     assert res.point == ref.point
+
+
+def test_warm_trial_flips_change_no_decision(monkeypatch):
+    # a flip's LP starts from the current subproblem's basis; every status,
+    # acceptance and final answer must be those of cold flips
+    from test_acceptance import _instance_pool
+
+    rng = np.random.default_rng(11)
+    runs = []
+    for net, build, d in _instance_pool():
+        m, h, _ = build("mpcc")
+        for x0 in [np.zeros(d)] + [rng.uniform(-1, 1, d) for _ in range(3)]:
+            runs.append((m, h, net, sign_partition(net, x0).active))
+
+    def fingerprints():
+        out = []
+        for m, h, net, start in runs:
+            res = mpcc_local_solve(m, h, start_pattern=start, net=net)
+            out.append((res.status, res.nodes, res.iterations, res.objective,
+                        res.pattern, res.kkt_residual))
+        return out
+
+    warm = fingerprints()
+    solve = pattern.solve_relaxation
+
+    def cold_solve(*args, basis=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pattern, "solve_relaxation", cold_solve)
+    assert fingerprints() == warm
+    assert sum(fp[1] > 1 for fp in warm) >= 50  # searches that tried flips

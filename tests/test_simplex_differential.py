@@ -16,12 +16,12 @@ from scipy.optimize import linprog
 
 from surropt.encoders import interval_bounds, tighten_bounds
 from surropt.model import Model
-from surropt.nn import NeuronId, random_network
+from surropt.nn import NeuronId, random_network, sign_partition
 from surropt.problems import build_engine
 from surropt.regions import enumerate_nonempty_patterns, generalized_jacobian
 from surropt.solvers import simplex
 from surropt.solvers.branch_bound import milp_solve
-from surropt.solvers.pattern import pattern_enumerate_solve
+from surropt.solvers.pattern import mpcc_local_solve, pattern_enumerate_solve
 from surropt.solvers.result import Status
 from surropt.solvers.simplex import REFACTOR_EVERY, lp_solve
 
@@ -303,6 +303,26 @@ def test_tightening_builds_one_tableau_per_layer_after_the_first(monkeypatch):
     cold = _cold_tableaux(monkeypatch)
     tighten_bounds(net, (np.full(2, -1.0), np.full(2, 1.0)))
     assert cold[0] == 2  # each later neuron's max and min start from the last basis
+
+
+def test_mpcc_flips_start_from_the_current_basis(monkeypatch):
+    from test_acceptance import _instance_pool
+
+    cold = _cold_tableaux(monkeypatch)
+    net, build, d = _instance_pool()[21]
+    m, h, _ = build("mpcc")
+    start = sign_partition(net, np.zeros(d)).active
+    res = mpcc_local_solve(m, h, start_pattern=start)
+    assert res.pattern != frozenset(start) and res.nodes >= 5
+    assert cold[0] == 2  # the start and the cold re-solve of the final pattern
+
+    net, build, d = _instance_pool()[9]
+    m, h, _ = build("mpcc")
+    final = mpcc_local_solve(m, h, start_pattern=sign_partition(net, np.zeros(d)).active)
+    cold[0] = 0
+    res = mpcc_local_solve(m, h, start_pattern=final.pattern)  # already locally optimal
+    assert res.pattern == final.pattern and res.nodes > 1
+    assert cold[0] == 1  # the start alone: no move, so no re-solve
 
 
 def big_m_relaxation(net, box, bounds, upto):

@@ -1,3 +1,5 @@
+import logging
+import re
 import signal
 
 import numpy as np
@@ -7,6 +9,7 @@ from surropt.encoders import encode_mip, tighten_bounds
 from surropt.model import Model, fix_binaries
 from surropt.nn import random_network
 from surropt.problems import AttackSpec, build_attack
+from surropt.solvers import branch_bound
 from surropt.solvers.branch_bound import milp_solve
 from surropt.solvers.frank_wolfe import qp_frank_wolfe
 from surropt.solvers.pattern import pattern_enumerate_solve
@@ -81,6 +84,47 @@ def test_milp_limit_status():
     m, _ = knapsack()
     res = milp_solve(m, max_nodes=1)
     assert res.status in (Status.LIMIT, Status.FEASIBLE)
+
+
+def _relu_box_milp(sense):
+    """Big-M model of the min or max of a [2, 10, 1] net's output over [-1, 1]^2."""
+    from test_status_propagation import _box_model
+
+    model, h = _box_model(random_network(np.random.default_rng(0), [2, 10, 1]), "mip")
+    model.set_objective(sense, {h.output_vars[0]: 1.0})
+    return model
+
+
+def test_milp_node_order_is_pinned():
+    # best-bound picks the least (bound, creation order) open node; the same
+    # nodes must be explored however the open list is kept
+    res = milp_solve(_relu_box_milp("min"))
+    assert res.status is Status.OPTIMAL
+    assert res.nodes == 35
+    assert res.objective == pytest.approx(-0.24543110818596908, abs=1e-12)
+
+
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_new_incumbents_are_logged_at_info(caplog, sense):
+    model = _relu_box_milp(sense)
+    with caplog.at_level(logging.WARNING, logger=branch_bound.__name__):
+        milp_solve(model)
+    assert not caplog.records
+    with caplog.at_level(logging.INFO, logger=branch_bound.__name__):
+        res = milp_solve(model)
+    assert res.status is Status.OPTIMAL
+    line = r"incumbent \S+, bound \S+, gap \S+, \d+ open, \d+ explored"
+    assert caplog.records
+    assert all(re.fullmatch(line, r.getMessage()) for r in caplog.records)
+    rows = [r.args for r in caplog.records]
+    better = 1.0 if sense == "max" else -1.0  # the model's orientation
+    incumbents = [row[0] for row in rows]
+    assert all(better * (b - a) > 0 for a, b in zip(incumbents, incumbents[1:]))
+    assert incumbents[-1] == res.objective
+    for inc, bound, gap, _, explored in rows:
+        assert better * (bound - res.objective) >= -1e-9  # a valid bound throughout
+        assert gap == pytest.approx(better * (bound - inc), abs=1e-12) and gap >= 0.0
+        assert 0 < explored <= res.nodes
 
 
 def test_fw_scalar_projection():
