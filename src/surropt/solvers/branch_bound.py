@@ -4,8 +4,9 @@ convex-quadratic objectives) node relaxations.
 Node selection is best-bound with a depth-first dive until the first
 incumbent: the open list is a stack during the dive and a heap after it.
 Branching picks the most fractional binary.  Single-threaded and
-deterministic.  Each new incumbent is logged at INFO with the bound, the gap
-and the open and explored node counts.
+deterministic.  Each new incumbent, and every ``LOG_EVERY_NODES`` explored
+nodes, is logged at INFO with the bound, the gap and the open and explored
+node counts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .simplex import standard_form
 INT_TOL = 1e-6
 GAP_TOL = 1e-6
 FEAS_TOL = 1e-6
+LOG_EVERY_NODES = 100
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +83,8 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         if bound0 >= incumbent - GAP_TOL:
             continue
         explored += 1
+        if explored % LOG_EVERY_NODES == 0 and log.isEnabledFor(logging.INFO):
+            _log_progress(sign, incumbent, [bound0, lost_bound], nodes, explored)
         status, x, val, gap, _, basis = solve_relaxation(sf, lo, up, tol=FW_TOL, basis=basis,
                                                          deadline=deadline)
         if status == "infeasible":
@@ -100,9 +104,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
                 incumbent = val
                 incumbent_x = x.copy()
                 if log.isEnabledFor(logging.INFO):
-                    low = min([val, lost_bound] + [n[0] for n in nodes])
-                    log.info("incumbent %.10g, bound %.10g, gap %.3g, %d open, %d explored",
-                             sign * val, sign * low, val - low, len(nodes), explored)
+                    _log_progress(sign, val, [lost_bound], nodes, explored)
             continue
         j = int(bin_ids[np.argmin(np.abs(frac - 0.5))])
         for branch_val in (0.0, 1.0):
@@ -126,3 +128,11 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         res.status = Status.LIMIT
         res.best_bound = sign * best_bound
     return res
+
+
+def _log_progress(sign, incumbent, bounds, nodes, explored):
+    """One INFO line in the model's orientation; the bound is the least of
+    ``bounds``, the open nodes' bounds and the incumbent (all in min space)."""
+    low = min([incumbent, *bounds] + [n[0] for n in nodes])
+    log.info("incumbent %.10g, bound %.10g, gap %.3g, %d open, %d explored",
+             sign * incumbent, sign * low, incumbent - low, len(nodes), explored)

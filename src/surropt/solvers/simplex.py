@@ -19,10 +19,11 @@ feasible (a cost change alone, as between Frank-Wolfe steps, takes no dual
 pivot).  A dual run that finds no entering column proves the LP infeasible.
 Only the start differs (Koberstein 2005; Bixby 2002):
 
-* cold: a crash basis of slacks, plus an artificial column fixed at 0 for
-  each row no slack can absorb; the dual drives the artificials to 0, and
-  one still basic there is then swapped for a structural column of its row
-  (a row with none is redundant);
+* cold: a lower-triangular crash basis (Bixby 1992) of slacks and of
+  structural columns each absorbing its row's residual within its bounds,
+  plus an artificial column fixed at 0 for each row where neither does; the
+  dual drives the artificials to 0, and one still basic there is then
+  swapped for a structural column of its row (a row with none is redundant);
 * warm: the final basis of an earlier optimal solve of the same rows
   (``SimplexOut.basis``), its nonbasics snapped to the new bounds.  A warm
   start that hits its dual-pivot budget, its iteration limit or a numerical
@@ -138,40 +139,52 @@ class _Tableau:
 
     def _crash(self, slack_col):
         """Cold start: nonbasics at their nearest finite bound (free ones at 0),
-        each row's slack basic where it absorbs the residual, else an artificial
-        fixed at 0 that starts at the residual's size."""
+        then row by row a basic column that absorbs the row's residual within
+        its bounds: the row's slack, else the movable column with the largest
+        entry among those whose first nonzero is in this row, so the basis is
+        lower triangular (Bixby 1992); else an artificial fixed at 0 that
+        starts at the residual's size."""
         A, b, lower, upper = self.A, self.b, self.lower, self.upper
         m, n = A.shape
         x = np.where(np.isfinite(lower), lower, np.where(np.isfinite(upper), upper, 0.0))
         state = np.where(np.isfinite(lower), AT_LOWER,
                          np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
         resid = b - A @ x
-        basis = np.empty(m, dtype=int)
-        art_cols = []
-        art_data = []
+        # movable columns grouped by the row of their first nonzero, with
+        # their bounds (and values, unchanged until their row) in that order
+        seen = np.logical_or.accumulate(A != 0.0, axis=0).sum(axis=0)
+        first = np.where(lower < upper, m - seen, m)
+        order = np.argsort(first, kind="stable")
+        starts = np.searchsorted(first[order], np.arange(m + 1))
+        lo, up, xo = lower[order] - 1e-12, upper[order] + 1e-12, x[order]
+        basis = np.full(m, -1)
         for i in range(m):
             j = slack_col[i]
-            if j >= 0:
-                val = x[j] + resid[i]
-                if lower[j] - 1e-12 <= val <= upper[j] + 1e-12:
-                    # crash: the row's own slack absorbs the residual
-                    x[j] = val
-                    basis[i] = j
-                    state[j] = BASIC
+            if j >= 0 and lower[j] - 1e-12 <= x[j] + resid[i] <= upper[j] + 1e-12:
+                x[j] += resid[i]  # the row's own slack absorbs the residual
+            else:
+                s = slice(starts[i], starts[i + 1])
+                a = A[i, order[s]]
+                val = xo[s] + resid[i] / a
+                fits = (lo[s] <= val) & (val <= up[s])
+                if not fits.any():
                     continue
-            col = len(art_cols)
-            art_cols.append(i)
-            art_data.append(1.0 if resid[i] >= 0 else -1.0)
-            basis[i] = n + col
-        if art_cols:
-            E = np.zeros((m, len(art_cols)))
-            for col, (i, s) in enumerate(zip(art_cols, art_data)):
-                E[i, col] = s
+                k = int(np.argmax(np.where(fits, np.abs(a), -1.0)))
+                j = order[s][k]
+                resid -= (val[k] - x[j]) * A[:, j]  # rows above i hold no entry of column j
+                x[j] = val[k]
+            basis[i] = j
+            state[j] = BASIC
+        art = np.flatnonzero(basis < 0)
+        if art.size:
+            E = np.zeros((m, art.size))
+            E[art, np.arange(art.size)] = np.where(resid[art] >= 0, 1.0, -1.0)
+            basis[art] = n + np.arange(art.size)
             self.A = np.hstack([A, E])
-            self.lower = np.concatenate([lower, np.zeros(len(art_cols))])
-            self.upper = np.concatenate([upper, np.zeros(len(art_cols))])
-            x = np.concatenate([x, np.abs(resid[art_cols])])
-            state = np.concatenate([state, np.full(len(art_cols), BASIC, dtype=np.int8)])
+            self.lower = np.concatenate([lower, np.zeros(art.size)])
+            self.upper = np.concatenate([upper, np.zeros(art.size)])
+            x = np.concatenate([x, np.abs(resid[art])])
+            state = np.concatenate([state, np.full(art.size, BASIC, dtype=np.int8)])
         self.x = x
         self.state = state
         self.basis = basis

@@ -10,6 +10,7 @@ cost changes.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hst
 from scipy.optimize import linprog
@@ -254,6 +255,64 @@ def test_optimal_cold_solves_hand_back_a_basis():
     assert np.linalg.matrix_rank(sf.A) == sf.A.shape[0]
     out = simplex.solve_standard_form(sf)
     assert out.status == "optimal" and out.basis is not None
+
+
+def crash(sf):
+    """The cold tableau of a standard form, before any pivot."""
+    return simplex._Tableau(sf.A, sf.b, sf.lower, sf.upper, sf.slack_col)
+
+
+@pytest.mark.parametrize("formulation", ["mip", "mpcc"])
+def test_crash_puts_no_artificial_on_neuron_or_output_rows(formulation):
+    # each neuron row y - s - Wx = b and each output row finds a structural
+    # column of its own; a crash of slacks alone needed an artificial on each
+    model, _ = build_engine(engine_relu_spec(np.random.default_rng(7), T=2, hidden=4),
+                            formulation)
+    sf = simplex.standard_form(model)
+    tab = crash(sf)
+    tags = [model.constraints[i].tag for i in np.flatnonzero(tab.basis >= sf.A.shape[1])]
+    assert not [t for t in tags if "relu[" in t or "out[" in t], tags
+    assert sum("relu[" in c.tag for c in model.constraints) == 8
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(1, 14), n=hst.integers(1, 14))
+def test_crash_basis_is_lower_triangular_and_within_bounds(seed, m, n):
+    model, _ = random_lp(seed, m, n)
+    sf = simplex.standard_form(model)
+    tab = crash(sf)
+    ntot = sf.A.shape[1]
+    B = tab.A[:, tab.basis]  # row i's basic column is the i-th pick
+    assert not np.triu(B, 1).any() and np.diag(B).all()
+    assert np.allclose(tab.A @ tab.x, sf.b)
+    struct = tab.basis[tab.basis < ntot]
+    assert np.all(sf.lower[struct] - 1e-9 <= tab.x[struct])
+    assert np.all(tab.x[struct] <= sf.upper[struct] + 1e-9)
+    # a row gets an artificial only when no movable column whose first
+    # nonzero lies in that row could absorb its residual within its bounds
+    first = np.argmax(sf.A != 0, axis=0)
+    for i in np.flatnonzero(tab.basis >= ntot):
+        resid = sf.b[i] - sf.A[i] @ tab.x[:ntot]
+        for j in np.flatnonzero((first == i) & (sf.A[i] != 0) & (sf.lower < sf.upper)):
+            val = tab.x[j] + resid / sf.A[i, j]
+            assert not sf.lower[j] - 1e-9 <= val <= sf.upper[j] + 1e-9, (i, j)
+
+
+def test_cold_engine_lps_take_few_pivots():
+    # the T=5 engine of a [3, 16, 3] surrogate (260 MIP rows): one dual pivot
+    # per artificial took the MIP root 167 pivots and the MPCC subproblem of
+    # the pattern at x = 0.5 96
+    spec = engine_relu_spec(np.random.default_rng(0), T=5, hidden=16)
+    model, _ = build_engine(spec, "mip")
+    out = simplex.solve_standard_form(simplex.standard_form(model))
+    assert out.status == "optimal" and out.iterations <= 60
+    assert out.obj == pytest.approx(-1.247864, abs=1e-6)
+    model, handles = build_engine(spec, "mpcc")
+    start = sign_partition(spec.net, np.full(3, 0.5)).active
+    res = mpcc_local_solve(model, handles.embeddings, start_pattern=start)
+    assert res.nodes == 1  # no flip tried: iterations are the start's cold solve
+    assert res.iterations <= 10
+    assert res.objective == pytest.approx(0.411633, abs=1e-6)
 
 
 def _cold_tableaux(monkeypatch):

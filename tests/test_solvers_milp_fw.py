@@ -127,6 +127,28 @@ def test_new_incumbents_are_logged_at_info(caplog, sense):
         assert 0 < explored <= res.nodes
 
 
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_progress_is_logged_every_n_nodes(caplog, monkeypatch, sense):
+    monkeypatch.setattr(branch_bound, "LOG_EVERY_NODES", 4)
+    with caplog.at_level(logging.INFO, logger=branch_bound.__name__):
+        res = milp_solve(_relu_box_milp(sense))
+    assert res.status is Status.OPTIMAL and res.nodes >= 8
+    number = r"-?(?:inf|\d+(?:\.\d*)?(?:e[-+]\d+)?)"
+    line = rf"incumbent ({number}), bound ({number}), gap ({number}), (\d+) open, (\d+) explored"
+    parsed = [re.fullmatch(line, r.getMessage()) for r in caplog.records]
+    assert all(parsed)
+    rows = [tuple(float(g) for g in p.groups()) for p in parsed]
+    # the incumbent lines and one line each at 4, 8, ... explored nodes
+    progress = {4.0 * k for k in range(1, res.nodes // 4 + 1)}
+    assert progress and progress <= {row[4] for row in rows}
+    better = 1.0 if sense == "max" else -1.0
+    for inc, bound, gap, _, _ in rows:
+        assert better * (bound - res.objective) >= -1e-9  # never past the optimum
+        assert gap >= 0.0
+        if np.isfinite(inc):
+            assert better * (inc - res.objective) <= 1e-9
+
+
 def test_fw_scalar_projection():
     m = Model()
     x = m.add_variable("x", lower=0.0, upper=1.0)
