@@ -253,6 +253,7 @@ def cmd_solve(args) -> int:
         "best_bound": None if math.isnan(res.best_bound) else res.best_bound,
         "iterations": res.iterations,
         "nodes": res.nodes,
+        "kkt_residual": None if math.isnan(res.kkt_residual) else res.kkt_residual,
         "seconds": round(elapsed, 6),
     }
     _emit(args, payload, [

@@ -141,6 +141,23 @@ def test_embedded_solve_writes_trace(tmp_path, capsys, rng):
     assert len(recs) == doc["iterations"]
 
 
+def test_solve_json_reports_kkt_residual(tmp_path, capsys, rng):
+    spec = engine_files(tmp_path, rng)
+    code, out, err = run(capsys, "--json", "solve", "--problem", str(spec),
+                         "--solver", "embedded")
+    doc = json.loads(out)
+    assert isinstance(doc["kkt_residual"], float) and doc["kkt_residual"] >= 0.0
+    if doc["status"] == "Optimal":
+        assert doc["kkt_residual"] <= 1e-6
+    model_path = tmp_path / "engine.lp"
+    run(capsys, "encode", "--problem", str(spec), "--formulation", "mip",
+        "-o", str(model_path))
+    code, out, err = run(capsys, "--json", "solve", "--model", str(model_path),
+                         "--solver", "milp")
+    assert code == 0, err
+    assert json.loads(out)["kkt_residual"] is None  # B&B reports none (NaN)
+
+
 def test_encode_mpcc_needs_lossy_flag(tmp_path, capsys, rng):
     spec = engine_files(tmp_path, rng)
     model_path = tmp_path / "engine_cc.lp"

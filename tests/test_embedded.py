@@ -1,8 +1,15 @@
+import json
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt.nn import (
     Activation,
@@ -10,6 +17,7 @@ from surropt.nn import (
     Network,
     NeuronId,
     affine_piece,
+    forward,
     forward_with_preactivations,
     jacobian,
     random_network,
@@ -213,3 +221,224 @@ def test_max_iter_budget_respected():
                                 max_iter=50)
     assert res.iterations <= 50
     assert len(trace) <= 50
+
+
+# --- ReLU kinks: the min-norm element of the hull of the piece gradients ---
+
+
+def seeded_instance(seed, dims, kind="relu"):
+    """min y + 0.5 ||x - x0||^2 s.t. a @ x <= 0.2 over [-1, 1]^n, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, dims, kind)
+    x0 = rng.uniform(-0.5, 0.5, dims[0])
+    a = rng.uniform(-1.0, 1.0, dims[0])
+    obj = SmoothObjective(
+        value=lambda y, x: float(y[0] + 0.5 * (x - x0) @ (x - x0)),
+        grad_x=lambda y, x: x - x0,
+        grad_y=lambda y, x: np.ones(1),
+    )
+    cons = SmoothConstraints(
+        value=lambda y, x: np.array([a @ x - 0.2]),
+        jac_x=lambda y, x: a[None, :],
+        jac_y=lambda y, x: np.zeros((1, 1)),
+    )
+    n = dims[0]
+    return (net, obj, BoxRegion(-np.ones(n), np.ones(n))), dict(constraints=cons, start=x0)
+
+
+def nnls_min_norm(P):
+    """Min-norm point of conv(rows of P) from nnls: min ||E u - e|| over u >= 0 with
+    E = [P^T; 1^T] puts u / sum(u) at the min-norm weights."""
+    from scipy.optimize import nnls
+
+    P = np.asarray(P, dtype=float)
+    E = np.vstack([P.T, np.ones(P.shape[0])])
+    e = np.zeros(E.shape[0])
+    e[-1] = 1.0
+    u, _ = nnls(E, e)
+    return (u @ P) / u.sum()
+
+
+def count_kink_iterates(monkeypatch):
+    """Wrap the kink helper; the list counts the iterates at which it fired."""
+    hits = []
+    real = embedded._kink_pieces
+
+    def counting(*a):
+        out = real(*a)
+        if out is not None:
+            hits.append(out[1])
+        return out
+
+    monkeypatch.setattr(embedded, "_kink_pieces", counting)
+    return hits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_min_norm_point_matches_nnls(m, n, seed, shifted):
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(m, n))
+    if shifted:  # a hull far from the origin, or one that holds it
+        P += rng.choice([0.0, 3.0]) * rng.normal(size=n)
+    if m > 2 and seed % 3 == 0:  # repeated and affinely dependent rows
+        P[-1] = P[0]
+        P[-2] = 0.5 * (P[0] + P[1])
+    z, weights = embedded.min_norm_point(P)
+    assert np.all(weights >= 0.0) and weights.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(weights @ P, z, atol=1e-12)
+    ref = nnls_min_norm(P)
+    scale = max(1.0, float(np.abs(P).max()))
+    assert np.linalg.norm(z) <= np.linalg.norm(ref) + 1e-9 * scale
+    np.testing.assert_allclose(z, ref, atol=1e-6 * scale)
+
+
+def test_kink_stall_ends_early_at_a_clarke_stationary_point(monkeypatch):
+    # with the single-vertex gradient alone this solve stalls at a kink for
+    # the whole 3,000-iteration budget
+    hits = count_kink_iterates(monkeypatch)
+    args, kwargs = seeded_instance(2, [2, 6, 6, 1])
+    res, trace = embedded_solve(*args, **kwargs)
+    assert res.status is Status.STALLED
+    assert res.iterations < 100 and hits
+    assert res.kkt_residual <= embedded.DEFAULT_TOL
+    assert trace[-1].dual_infeasibility > embedded.DEFAULT_TOL  # the vertex alone
+    assert res.objective < -1.1150
+    net, obj = args[0], args[1]
+    x = np.array([res.point[j] for j in range(2)])
+    assert np.all(np.abs(x) < 0.99)  # inside the box
+    a = kwargs["constraints"].jac_x(None, x)[0]
+    assert a @ x - 0.2 < -0.1  # the constraint is slack: the gradient is f's
+    # every pattern of the near-kink neurons, from affine pieces
+    part = sign_partition(net, x, embedded.KINK_RADIUS)
+    assert 1 <= len(part.degenerate) <= embedded.KINK_CAP
+    y = forward(net, x)
+    gx, gy = obj.grad_x(y, x), obj.grad_y(y, x)
+    deg = sorted(part.degenerate)
+    pieces = []
+    for bits in range(2 ** len(deg)):
+        on = {nid for i, nid in enumerate(deg) if bits >> i & 1}
+        J = affine_piece(net, part.active | on)[0]
+        pieces.append(gx + J.T @ gy)
+    assert np.abs(nnls_min_norm(pieces)).max() <= embedded.DEFAULT_TOL
+
+
+def test_kink_stop_is_logged_at_debug(caplog):
+    args, kwargs = seeded_instance(2, [2, 6, 6, 1])
+    with caplog.at_level(logging.DEBUG, logger=embedded.__name__):
+        res, _ = embedded_solve(*args, **kwargs)
+    pattern = r"kink stop at iteration (\d+): k=(\d+) pieces=(\d+) measure=(\S+)"
+    stops = [m for m in (re.fullmatch(pattern, r.getMessage()) for r in caplog.records) if m]
+    assert len(stops) == 1
+    it, k, pieces, measure = stops[0].groups()
+    assert int(it) == res.iterations - 1
+    assert int(pieces) == 2 ** int(k) and 1 <= int(k) <= embedded.KINK_CAP
+    assert float(measure) == pytest.approx(res.kkt_residual, rel=1e-3)
+
+
+@pytest.mark.parametrize("kind", ["relu", "swish"])
+def test_hull_helper_is_idle_off_kinks(monkeypatch, kind):
+    args, kwargs = seeded_instance(3, [3, 12, 1], kind)
+    hits = count_kink_iterates(monkeypatch)
+    res, trace = embedded_solve(*args, **kwargs)
+    assert res.status is Status.OPTIMAL and not hits
+    monkeypatch.setattr(embedded, "_kink_pieces", lambda *a: None)
+    res_off, trace_off = embedded_solve(*args, **kwargs)
+    for field in ("status", "point", "objective", "iterations", "kkt_residual"):
+        assert getattr(res_off, field) == getattr(res, field)
+    assert trace_off == trace
+
+
+# Solves seeded_instance(2, [2, 6, 6, 1]) in a fresh interpreter and prints, as
+# its last line, the kink iterates it took and the scipy modules loaded by then.
+# The check cannot run in this process: the test modules import scipy.
+NO_SCIPY_PROBE = """
+import json, sys
+import numpy as np
+from surropt.nn import random_network
+from surropt.solvers import embedded
+from surropt.solvers.embedded import BoxRegion, SmoothConstraints, SmoothObjective
+hits = []
+real = embedded._kink_pieces
+def counting(*a):
+    out = real(*a)
+    hits.append(out is not None)
+    return out
+embedded._kink_pieces = counting
+rng = np.random.default_rng(2)
+net = random_network(rng, [2, 6, 6, 1])
+x0 = rng.uniform(-0.5, 0.5, 2)
+a = rng.uniform(-1.0, 1.0, 2)
+obj = SmoothObjective(value=lambda y, x: float(y[0] + 0.5 * (x - x0) @ (x - x0)),
+                      grad_x=lambda y, x: x - x0, grad_y=lambda y, x: np.ones(1))
+cons = SmoothConstraints(value=lambda y, x: np.array([a @ x - 0.2]),
+                         jac_x=lambda y, x: a[None, :], jac_y=lambda y, x: np.zeros((1, 1)))
+res, _ = embedded.embedded_solve(net, obj, BoxRegion(-np.ones(2), np.ones(2)),
+                                 constraints=cons, start=x0)
+print(json.dumps({"status": res.status.value, "kink_iterates": sum(hits),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_hull_steps_load_no_scipy():
+    env = dict(os.environ)
+    src = str(Path(embedded.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["status"] == "Stalled" and doc["kink_iterates"] > 0
+    assert doc["scipy"] == []
+
+
+def member_six_attack(seed):
+    """A [16, 16, 4] ReLU classifier with every weight and bias moved by up to
+    0.002, and min ||z - image||^2 s.t. the least-scoring label wins by a 1.2
+    odds ratio, z in [0, 1]^16."""
+    frng = np.random.default_rng([20211118, 6])
+    base = random_network(frng, [16, 16, 4])
+    srng = np.random.default_rng([seed, 1])
+    net = Network(tuple(
+        Layer(l.weights + srng.uniform(-0.002, 0.002, l.weights.shape),
+              l.bias + srng.uniform(-0.002, 0.002, l.bias.shape), l.activation)
+        for l in base.layers))
+    image = frng.uniform(0.2, 0.8, 16)
+    label = int(np.argmin(forward_with_preactivations(net, image)[0]))
+    rows = [i for i in range(4) if i != label]
+    Cy = np.zeros((3, 4))
+    Cy[np.arange(3), rows] = 1.0
+    Cy[:, label] = -1.0
+    obj = SmoothObjective(
+        value=lambda y, x: float((x - image) @ (x - image)),
+        grad_x=lambda y, x: 2.0 * (x - image),
+        grad_y=lambda y, x: np.zeros(4),
+    )
+    cons = SmoothConstraints(
+        value=lambda y, x: Cy @ y + np.log(1.2),
+        jac_x=lambda y, x: np.zeros((3, 16)),
+        jac_y=lambda y, x: Cy,
+    )
+    return (net, obj, BoxRegion(np.zeros(16), np.ones(16))), dict(constraints=cons,
+                                                                   start=image.copy())
+
+
+def test_frozen_augmented_lagrangian_loop_ends_at_once(caplog):
+    # the penalty reaches its cap, the multipliers stay and the line search
+    # keeps failing at one point: the full budget would end in this state
+    args, kwargs = member_six_attack(2)
+    with caplog.at_level(logging.DEBUG, logger=embedded.__name__):
+        res, trace = embedded_solve(*args, **kwargs)
+    assert res.status is Status.LIMIT
+    assert res.iterations < 300
+    assert res.objective == pytest.approx(0.25119320858969, rel=1e-9)
+    assert trace[-1].primal_infeasibility > embedded.DEFAULT_TOL
+    updates = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("AL update")]
+    assert "rho=1e+10" in updates[-1] and updates[-1].endswith("lam kept")
+    # the last logged update, a failed line search and the same update again,
+    # all at one point: the second time the solve ends
+    last = int(re.match(r"AL update at iteration (\d+)", updates[-1]).group(1))
+    tail = [(t.objective, t.primal_infeasibility, t.dual_infeasibility)
+            for t in trace[last:]]
+    assert len(tail) == 3 and len(set(tail)) == 1
