@@ -34,7 +34,7 @@ from .problems import (
     warmstart_engine,
 )
 from .solvers.branch_bound import milp_solve
-from .solvers.embedded import BoxRegion, SmoothConstraints, SmoothObjective, embedded_solve
+from .solvers.embedded import BoxRegion, SmoothObjective, embedded_solve
 from .solvers.pattern import mpcc_local_solve, pattern_enumerate_solve
 from .solvers.result import Status
 from .solvers.simplex import lp_solve
@@ -127,20 +127,12 @@ def _engine_embedded(spec: EngineSpec):
     stacked = Network(tuple(layers))
 
     w = np.array([spec.dt, spec.co_weight * spec.dt, 0.0] * T)
-    objective = SmoothObjective(
-        value=lambda y, x: float(w @ y),
-        grad_x=lambda y, x: np.zeros(2 * T + 1),
-        grad_y=lambda y, x: w,
-    )
+    objective = st.linear_objective(np.zeros(2 * T + 1), w)
     Cy = np.zeros((T, 3 * T))
     for t in range(T):
         Cy[t, 3 * t + 2] = -1.0  # profile_t - torque_t <= 0
-    d = -spec.torque_profile
-    constraints = SmoothConstraints(
-        value=lambda y, x: Cy @ y - d,
-        jac_x=lambda y, x: np.zeros((T, 2 * T + 1)),
-        jac_y=lambda y, x: Cy,
-    )
+    constraints = st.linear_inequalities(np.zeros((T, 2 * T + 1)), Cy,
+                                         -spec.torque_profile)
     lo = np.array([spec.fuel_bounds[0], spec.rpm_bounds[0]] * T
                   + [spec.compression_bounds[0]])
     hi = np.array([spec.fuel_bounds[1], spec.rpm_bounds[1]] * T
@@ -163,12 +155,8 @@ def _attack_embedded(spec: AttackSpec):
     for r, i in enumerate(rows):
         Cy[r, i] = 1.0
         Cy[r, l] = -1.0
-    d = np.full(len(rows), -spec.margin())
-    constraints = SmoothConstraints(
-        value=lambda y, z: Cy @ y - d,
-        jac_x=lambda y, z: np.zeros((len(rows), spec.net.input_dim)),
-        jac_y=lambda y, z: Cy,
-    )
+    constraints = st.linear_inequalities(np.zeros((len(rows), spec.net.input_dim)), Cy,
+                                         np.full(len(rows), -spec.margin()))
     lo, hi = spec.pixel_box()
     return spec.net, objective, constraints, BoxRegion(lo, hi)
 

@@ -3,6 +3,13 @@
 Weight convention used everywhere in this package (files included): a layer
 stores its weight matrix with shape ``(fan_out, fan_in)``, so row ``i`` holds
 the incoming weights of neuron ``i`` and one forward step is ``W @ y + b``.
+
+Two layer products serve every linear view of a net.  ``piece_maps`` gives
+the per-layer affine maps ``(P, q)`` of an activation pattern's piece: its
+hidden maps are the region rows, its last map the piece ``(A, c)``.
+``slope_jacobian`` multiplies the layers with each hidden neuron replaced by a
+slope: 0/1 patterns, kappa column scalings, activation derivatives and
+batches of kink pieces alike.
 """
 
 from __future__ import annotations
@@ -86,16 +93,6 @@ def _apply(act: Activation, a: np.ndarray) -> np.ndarray:
     if act.kind == LINEAR:
         return a
     return a * _sigmoid(act.beta * a)
-
-
-def _apply_derivative(act: Activation, a: np.ndarray) -> np.ndarray:
-    # callers screen ReLU degeneracy first; exact zeros fall on the inactive side
-    if act.kind == RELU:
-        return (a > 0).astype(float)
-    if act.kind == LINEAR:
-        return np.ones_like(a)
-    s = _sigmoid(act.beta * a)
-    return s + act.beta * a * s * (1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -260,61 +257,97 @@ def validate_pattern(net: Network, pattern) -> frozenset:
     return pattern
 
 
-def affine_piece(net: Network, pattern):
-    """Affine map (A, c) selected by an activation pattern of a pure-ReLU net.
+def piece_maps(net: Network, pattern) -> list:
+    """Per-layer preactivation maps ``(P, q)`` of a pure-ReLU net's affine piece.
 
-    Inactive neurons have their weight row and bias entry zeroed, so
-    ``A @ x + c`` reproduces ``forward`` for every x whose sign pattern
-    matches, and A is the local Jacobian strictly inside the region.
+    Layer ``li``'s preactivation is ``P @ x + q`` for every x whose sign
+    pattern matches ``pattern``: the hidden neurons outside it have their
+    weight row and bias entry zeroed.  The last map is the output layer's.
     """
     if not net.is_pure_relu():
         raise ValueError("affine pieces are defined for pure-ReLU hidden layers")
     pattern = validate_pattern(net, pattern)
-    n = net.input_dim
-    M = np.eye(n)
-    v = np.zeros(n)
+    M = np.eye(net.input_dim)
+    v = np.zeros(net.input_dim)
+    maps = []
     for li, lay in enumerate(net.layers):
         P = lay.weights @ M
         q = lay.weights @ v + lay.bias
-        if li < net.num_layers - 1:
-            mask = np.array(
-                [1.0 if NeuronId(li, i) in pattern else 0.0 for i in range(lay.fan_out)]
-            )
-            M = P * mask[:, None]
-            v = q * mask
+        maps.append((P, q))
+        mask = np.array([NeuronId(li, i) in pattern for i in range(lay.fan_out)], float)
+        M = P * mask[:, None]
+        v = q * mask
+    return maps
+
+
+def affine_piece(net: Network, pattern):
+    """Affine map (A, c) selected by an activation pattern of a pure-ReLU net.
+
+    ``A @ x + c`` reproduces ``forward`` for every x whose sign pattern
+    matches, and A is the local Jacobian strictly inside the region.
+    """
+    return piece_maps(net, pattern)[-1]
+
+
+def slope_jacobian(net: Network, slopes) -> np.ndarray:
+    """Jacobian of the net's layer product with hidden neuron i of layer l
+    replaced by the linear map of slope ``slopes[l][i]``.
+
+    0/1 slopes give an affine piece's Jacobian, fractional ones a kappa
+    column scaling, activation derivatives the chain rule.  Slopes with a
+    leading batch axis, shape ``(pieces, fan_out)``, give one Jacobian per
+    piece, shape ``(pieces, output_dim, input_dim)``.
+    """
+    J = np.eye(net.input_dim)
+    for lay, d in zip(net.hidden_layers, slopes):
+        J = (lay.weights * d[..., None]) @ J
+    return net.layers[-1].weights @ J
+
+
+def _slopes(net: Network, preacts, tol):
+    """Hidden-layer activation derivatives; a ReLU neuron is active only above tol."""
+    slopes = []
+    for lay, a in zip(net.hidden_layers, preacts):
+        beta = lay.activation.beta
+        if lay.activation.kind == RELU:
+            slopes.append(a > tol)
         else:
-            M, v = P, q
-    return M, v
+            s = _sigmoid(beta * a)
+            slopes.append(s + beta * a * s * (1.0 - s))
+    return slopes
+
+
+def preactivation_jacobian(net: Network, preacts, tol: float) -> np.ndarray:
+    """Network Jacobian from the preactivations of one forward pass.
+
+    ReLU neurons with preactivation at most ``tol`` count as inactive (at a
+    kink, the vertex with every degenerate neuron off); swish neurons take
+    their derivative.
+    """
+    return slope_jacobian(net, _slopes(net, preacts, tol))
 
 
 def jacobian(net: Network, x, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Jacobian of ``forward`` at x, shape (output_dim, input_dim).
 
-    For pure-ReLU nets this is the affine piece of the active pattern and x
-    must be non-degenerate at ``tol``; swish layers use the exact chain rule.
+    No ReLU neuron may lie within ``tol`` of its kink; on a pure-ReLU net
+    this is the active pattern's affine piece, on swish layers the exact
+    chain rule.
     """
-    x = _check_input(net, x)
-    if net.is_pure_relu():
-        part = sign_partition(net, x, tol)
-        if part.degenerate:
-            raise DegeneratePointError(
-                f"{len(part.degenerate)} neuron(s) within {tol} of the kink; "
-                "use the generalized-Jacobian machinery instead"
-            )
-        return affine_piece(net, part.active)[0]
-    J = np.eye(net.input_dim)
-    y = x
-    for li, lay in enumerate(net.layers):
-        a = lay.weights @ y + lay.bias
-        if li < net.num_layers - 1:
-            if lay.activation.kind == RELU and np.any(np.abs(a) <= tol):
-                raise DegeneratePointError("ReLU neuron within tol of the kink")
-            d = _apply_derivative(lay.activation, a)
-            J = (lay.weights * d[:, None]) @ J
-            y = _apply(lay.activation, a)
-        else:
-            J = lay.weights @ J
-    return J
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    _, preacts = forward_with_preactivations(net, x)
+    degenerate = sum(int(np.count_nonzero(np.abs(a) <= tol))
+                     for lay, a in zip(net.hidden_layers, preacts)
+                     if lay.activation.kind == RELU)
+    if degenerate:
+        raise DegeneratePointError(
+            f"{degenerate} neuron(s) within {tol} of the kink; "
+            "use the generalized-Jacobian machinery instead"
+        )
+    # not via preactivation_jacobian: perfbench traces that function as the
+    # embedded solver's _dnn_jacobian, and would count this call twice
+    return slope_jacobian(net, _slopes(net, preacts, tol))
 
 
 def random_network(rng: np.random.Generator, dims: Sequence[int], kind: str = RELU,

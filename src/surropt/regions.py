@@ -1,6 +1,9 @@
 """Activation-region geometry: region inequalities, emptiness tests, pattern
 enumeration, arrangement counts and generalized Jacobians.
 
+A pattern's region rows are the hidden preactivation maps of its affine piece,
+``nn.piece_maps``; hull vertices are the pieces' Jacobians, ``nn.affine_piece``.
+
 Regions are open polyhedra; the LPs here realize strict inequalities as
 ``>= slack`` with a small positive slack, so a region counts as empty exactly
 when the slackened system is infeasible.  Full-dimensional regions survive any
@@ -23,11 +26,11 @@ from .encoders import encode_mpcc
 from .model import Model
 from .nn import (
     DEFAULT_TOL,
-    RELU,
     Network,
     NeuronId,
     SignPartition,
     affine_piece,
+    piece_maps,
     sign_partition,
     validate_pattern,
 )
@@ -67,31 +70,12 @@ class GeneralizedJacobianHull:
     base_partition: SignPartition
 
 
-def _layer_rows(net: Network, pattern):
-    """Yield per-layer (P, q) preactivation maps under the pattern's truncation."""
-    n = net.input_dim
-    M = np.eye(n)
-    v = np.zeros(n)
-    for li, lay in enumerate(net.hidden_layers):
-        P = lay.weights @ M
-        q = lay.weights @ v + lay.bias
-        yield li, lay, P, q
-        if lay.activation.kind == RELU:
-            mask = np.array(
-                [1.0 if NeuronId(li, i) in pattern else 0.0 for i in range(lay.fan_out)]
-            )
-            M = P * mask[:, None]
-            v = q * mask
-        else:  # pragma: no cover - regions only defined for pure-ReLU nets
-            raise ValueError("region geometry requires pure-ReLU hidden layers")
-
-
 def region_inequalities(net: Network, pattern) -> RegionInequalities:
     """Affine inequality per hidden neuron describing R(pattern)."""
     pattern = validate_pattern(net, pattern)
     rows = []
-    for li, lay, P, q in _layer_rows(net, pattern):
-        for i in range(lay.fan_out):
+    for li, (P, q) in enumerate(piece_maps(net, pattern)[:-1]):
+        for i in range(P.shape[0]):
             nid = NeuronId(li, i)
             normal = P[i].copy()
             normal.setflags(write=False)

@@ -3,9 +3,10 @@
 An augmented-Lagrangian outer loop handles the (inequality) constraints; the
 inner solves are projected gradient descent with Barzilai-Borwein steps over
 the input region.  The gradient g of the augmented Lagrangian uses the
-network Jacobian with every degenerate ReLU neuron inactive, and the trace's
-dual infeasibility is ``|x - P(x - g)|``, so at a kink optimum of a ReLU net
-that column never vanishes while a smooth net's does.
+network Jacobian with every degenerate ReLU neuron inactive
+(``nn.preactivation_jacobian``, bound here as ``_dnn_jacobian``), and the
+trace's dual infeasibility is ``|x - P(x - g)|``, so at a kink optimum of a
+ReLU net that column never vanishes while a smooth net's does.
 
 At an iterate of a pure-ReLU net where k <= KINK_CAP hidden neurons lie within
 KINK_RADIUS of their kink, the solver instead takes the min-norm element v of
@@ -33,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..nn import Network, forward, forward_with_preactivations, _apply_derivative
+from ..nn import Network, forward, forward_with_preactivations, slope_jacobian
+from ..nn import preactivation_jacobian as _dnn_jacobian
 from .result import SolveResult, Status, TraceRecord
 
 DEFAULT_MAX_ITER = 3000
@@ -126,36 +128,6 @@ class PolytopeRegion:
         return out.x[: self._n].copy()
 
 
-def _relu_jacobian(net: Network, masks):
-    """Jacobian of the pure-ReLU net's affine piece whose hidden neurons are on
-    where ``masks`` (one boolean array per hidden layer) hold.
-
-    Masks with a leading batch axis, shape ``(pieces, fan_out)``, give one
-    Jacobian per piece, shape ``(pieces, output_dim, input_dim)``.
-    """
-    J = np.eye(net.input_dim)
-    for lay, m in zip(net.hidden_layers, masks):
-        J = (lay.weights @ J) * m[..., None]
-    return net.layers[-1].weights @ J
-
-
-def _dnn_jacobian(net: Network, preacts, kink_tol):
-    """Network Jacobian from the preactivations of one forward pass.
-
-    For a pure-ReLU net it is the affine piece of the neurons with
-    preactivation above ``kink_tol`` (the vertex with every degenerate neuron
-    inactive), the same matrix, bit for bit, as
-    ``affine_piece(net, sign_partition(net, x, kink_tol).active)[0]``;
-    other nets use the chain rule.
-    """
-    if net.is_pure_relu():
-        return _relu_jacobian(net, [a > kink_tol for a in preacts[:-1]])
-    J = np.eye(net.input_dim)
-    for lay, a in zip(net.hidden_layers, preacts):
-        J = (lay.weights * _apply_derivative(lay.activation, a)[:, None]) @ J
-    return net.layers[-1].weights @ J
-
-
 def min_norm_point(P):
     """Point of least Euclidean norm in the convex hull of the rows of P.
 
@@ -206,8 +178,9 @@ def _kink_pieces(net: Network, preacts, gx, gy):
 
     For a pure-ReLU net, S runs over the on/off choices of the hidden neurons
     whose preactivation lies within ``KINK_RADIUS`` of 0; the other neurons
-    keep their side.  Returns ``(pieces, k)`` with k those neurons' count, or
-    None off a kink and past ``KINK_CAP`` such neurons.
+    keep their side; one batched ``slope_jacobian`` call gives every J_S.
+    Returns ``(pieces, k)`` with k those neurons' count, or None off a kink
+    and past ``KINK_CAP`` such neurons.
     """
     hidden = preacts[:-1]
     if all(np.abs(a).min() > KINK_RADIUS for a in hidden):
@@ -223,7 +196,7 @@ def _kink_pieces(net: Network, preacts, gx, gy):
         m[:, ix] = bits[:, col:col + ix.size]
         col += ix.size
         masks.append(m)
-    return gx + gy @ _relu_jacobian(net, masks), k
+    return gx + gy @ slope_jacobian(net, masks), k
 
 
 def embedded_solve(net: Network, objective: SmoothObjective, region,

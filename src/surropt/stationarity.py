@@ -26,6 +26,7 @@ from .nn import (
     NeuronId,
     forward,
     forward_with_preactivations,
+    slope_jacobian,
 )
 from .regions import general_position_check, generalized_jacobian, hull_contains_zero
 from .solvers.embedded import SmoothConstraints, SmoothObjective
@@ -199,6 +200,32 @@ def hidden_point(net: Network, x) -> tuple:
     return x, hiddens
 
 
+def _lifted_gradients(net: Network, point, f, c, mu):
+    """Read a layerwise point (x0, [h^1..h^H]) and evaluate at the output of
+    its last hidden layer: returns (x0, hiddens, cvals, mu, gx, gy), with the
+    gradients of f + mu.c.  A missing mu is zero."""
+    x0, hiddens = point
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    hiddens = [np.asarray(h, dtype=float).reshape(-1) for h in hiddens]
+    if len(hiddens) != len(net.hidden_layers):
+        raise ValueError("point must carry one activation vector per hidden layer")
+    out_layer = net.layers[-1]
+    yout = out_layer.weights @ (hiddens[-1] if hiddens else x0) + out_layer.bias
+    if c is None:
+        cvals = mu = np.zeros(0)
+    else:
+        cvals = np.asarray(c.value(yout, x0), dtype=float).reshape(-1)
+        mu = (np.zeros(cvals.shape[0]) if mu is None
+              else np.asarray(mu, dtype=float).reshape(-1))
+    return (x0, hiddens, cvals, mu, *_eval_gradients(f, c, x0, yout, mu))
+
+
+def _kappa_slopes(net: Network, kappa) -> list:
+    """The kappa map as one array of column scalings per hidden layer."""
+    return [np.array([kappa[NeuronId(li, i)] for i in range(lay.fan_out)])
+            for li, lay in enumerate(net.hidden_layers)]
+
+
 def _classify(a, cls_tol):
     return np.where(np.abs(a) <= cls_tol, 0, np.sign(a)).astype(int)
 
@@ -284,24 +311,8 @@ def check_strong_stationarity(net: Network, point, f, c=None, mu=None, nu1=None,
     """
     if not net.is_pure_relu():
         raise ValueError("strong stationarity checks require pure-ReLU nets")
-    x0, hiddens = point
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    hiddens = [np.asarray(h, dtype=float).reshape(-1) for h in hiddens]
-    H = len(net.hidden_layers)
-    if len(hiddens) != H:
-        raise ValueError("point must carry one activation vector per hidden layer")
-    out_layer = net.layers[-1]
-    yout = out_layer.weights @ (hiddens[-1] if H else x0) + out_layer.bias
-
-    if c is None:
-        cvals = np.zeros(0)
-        mu_arr = np.zeros(0)
-    else:
-        cvals = np.asarray(c.value(yout, x0), dtype=float).reshape(-1)
-        mu_arr = (np.zeros(cvals.shape[0]) if mu is None
-                  else np.asarray(mu, dtype=float).reshape(-1))
-    gx, gy = _eval_gradients(f, c, x0, yout, mu_arr)
-
+    x0, hiddens, cvals, mu_arr, gx, gy = _lifted_gradients(net, point, f, c, mu)
+    H = len(hiddens)
     preacts = _layer_preacts(net, x0, hiddens)
     classes = [_classify(a, cls_tol) for a in preacts]
 
@@ -316,7 +327,7 @@ def check_strong_stationarity(net: Network, point, f, c=None, mu=None, nu1=None,
     mu_comp = float(abs(mu_arr @ cvals)) if cvals.size else 0.0
     mu_sign = float(np.maximum(-mu_arr, 0.0).max(initial=0.0))
 
-    g_top = out_layer.weights.T @ gy  # terminal chain target at the last hidden layer
+    g_top = net.layers[-1].weights.T @ gy  # terminal chain target at the last hidden layer
 
     estimated = False
     if H and (nu1 is None or nu2 is None):
@@ -388,19 +399,6 @@ def check_strong_stationarity(net: Network, point, f, c=None, mu=None, nu1=None,
                                     nu1, nu2, estimated)
 
 
-def kappa_jacobian(net: Network, kappa) -> np.ndarray:
-    """Product of the column-scaled layer maps (final affine layer included)."""
-    M = np.eye(net.input_dim)
-    for li, lay in enumerate(net.layers):
-        P = lay.weights @ M
-        if li < net.num_layers - 1:
-            scale = np.array([kappa[NeuronId(li, i)] for i in range(lay.fan_out)])
-            M = P * scale[:, None]
-        else:
-            M = P
-    return M
-
-
 def recover_kappa(net: Network, point, f, c=None, mu=None, nu1=None, nu2=None,
                   zero_tol: float = 1e-9, cls_tol: float = DEFAULT_TOL,
                   check_tol: float = 1e-3):
@@ -420,17 +418,11 @@ def recover_kappa(net: Network, point, f, c=None, mu=None, nu1=None, nu2=None,
         raise ValueError(f"multiplier chains residual {chain_res:.2e} too large to interpret")
     nu1 = report.nu1
     nu2 = report.nu2
-    mu_arr = report.mu
-    x0, hiddens = point
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    H = len(net.hidden_layers)
-    out_layer = net.layers[-1]
-    yout = out_layer.weights @ (hiddens[-1] if H else x0) + out_layer.bias
-    gx, gy = _eval_gradients(f, c, x0, yout, mu_arr)
-    preacts = _layer_preacts(net, x0, [np.asarray(h, float) for h in hiddens])
+    x0, hiddens, _, _, gx, gy = _lifted_gradients(net, point, f, c, report.mu)
+    preacts = _layer_preacts(net, x0, hiddens)
     kappa = {}
-    g = out_layer.weights.T @ gy
-    for li in range(H - 1, -1, -1):
+    g = net.layers[-1].weights.T @ gy
+    for li in range(len(hiddens) - 1, -1, -1):
         cl = _classify(preacts[li], cls_tol)
         for j in range(cl.shape[0]):
             nid = NeuronId(li, j)
@@ -443,27 +435,21 @@ def recover_kappa(net: Network, point, f, c=None, mu=None, nu1=None, nu2=None,
             else:
                 kappa[nid] = min(1.0, max(0.0, float((g[j] - nu1[li][j]) / g[j])))
         g = net.hidden_layers[li].weights.T @ nu2[li]
-    J = kappa_jacobian(net, kappa)
+    J = slope_jacobian(net, _kappa_slopes(net, kappa))
     residual = float(np.abs(gx + J.T @ gy).max(initial=0.0))
     return kappa, residual
 
 
 def nus_from_kappa(net: Network, point, f, c, mu, kappa):
     """Multiplier chains induced by column scalings: nu2 = kappa*g layerwise."""
-    x0, hiddens = point
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    H = len(net.hidden_layers)
-    out_layer = net.layers[-1]
-    yout = out_layer.weights @ (hiddens[-1] if H else x0) + out_layer.bias
-    mu_arr = np.zeros(0) if mu is None else np.asarray(mu, dtype=float).reshape(-1)
-    _, gy = _eval_gradients(f, c, x0, yout, mu_arr)
+    *_, gy = _lifted_gradients(net, point, f, c, mu)
+    scales = _kappa_slopes(net, kappa)
+    H = len(scales)
     nu1 = [None] * H
     nu2 = [None] * H
-    g = out_layer.weights.T @ gy
+    g = net.layers[-1].weights.T @ gy
     for li in range(H - 1, -1, -1):
-        scale = np.array([kappa[NeuronId(li, j)]
-                          for j in range(net.hidden_layers[li].fan_out)])
-        nu2[li] = scale * g
+        nu2[li] = scales[li] * g
         nu1[li] = g - nu2[li]
         g = net.hidden_layers[li].weights.T @ nu2[li]
     return nu1, nu2

@@ -15,6 +15,7 @@ from surropt.nn import (
     jacobian,
     random_network,
     sign_partition,
+    slope_jacobian,
 )
 
 from conftest import LIN, RELU, identity_net, single_neuron_net, zero_bias_counterexample, three_neuron_net
@@ -184,3 +185,35 @@ def test_swish_beta_zero_superposition(rng):
         lhs = forward(net, a + b) - f0
         rhs = (forward(net, a) - f0) + (forward(net, b) - f0)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def test_slope_jacobian_is_the_product_of_slope_scaled_layers():
+    # fractional slopes, as a kappa column scaling gives them:
+    # W_L diag(k_{L-1}) W_{L-1} ... diag(k_1) W_1
+    rng = np.random.default_rng(3)
+    for dims in ([3, 5, 2], [4, 6, 5, 3], [2, 3, 4, 3, 1]):
+        net = random_network(rng, dims)
+        for _ in range(5):
+            slopes = [rng.uniform(0.0, 1.0, lay.fan_out) for lay in net.hidden_layers]
+            mats = [net.layers[-1].weights]
+            for lay, d in zip(reversed(net.hidden_layers), reversed(slopes)):
+                mats += [np.diag(d), lay.weights]
+            np.testing.assert_allclose(slope_jacobian(net, slopes), np.linalg.multi_dot(mats),
+                                       rtol=1e-12, atol=1e-14)
+
+
+def test_batched_slope_jacobian_stacks_the_per_piece_calls():
+    rng = np.random.default_rng(4)
+    for dims in ([3, 5, 2], [4, 6, 5, 3]):
+        net = random_network(rng, dims)
+        fractional = [rng.uniform(0.0, 1.0, (7, lay.fan_out)) for lay in net.hidden_layers]
+        masks = [rng.random((7, lay.fan_out)) < 0.5 for lay in net.hidden_layers]
+        for batch in (fractional, masks):
+            J = slope_jacobian(net, batch)
+            assert J.shape == (7, dims[-1], dims[0])
+            for p in range(7):
+                assert np.array_equal(J[p], slope_jacobian(net, [d[p] for d in batch]))
+        # a 0/1 mask is the affine piece of its pattern
+        for p in range(7):
+            pattern = {NeuronId(li, i) for li, m in enumerate(masks) for i in np.flatnonzero(m[p])}
+            assert np.array_equal(slope_jacobian(net, masks)[p], affine_piece(net, pattern)[0])
