@@ -60,9 +60,12 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         incumbent_x = full
 
     deadline = time.monotonic() + time_limit if time_limit is not None else None
-    # open nodes as (bound, seq, lower, upper, parent basis); seq is unique, so
-    # comparisons never reach the arrays
+    # open nodes as (bound, seq, lower, upper, parent (basis, state)); seq is
+    # unique, so comparisons never reach the arrays.  Only the last solved
+    # node's warm-start handle keeps its basis inverse (m^2 floats), for the
+    # node popped next when that is its child, as in a dive.
     nodes = [(-math.inf, 0, sf.lower.copy(), sf.upper.copy(), None)]
+    last = None
     heaped = False
     seq = 1
     explored = 0
@@ -85,8 +88,11 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
         explored += 1
         if explored % LOG_EVERY_NODES == 0 and log.isEnabledFor(logging.INFO):
             _log_progress(sign, incumbent, [bound0, lost_bound], nodes, explored)
+        if basis and last and basis[0] is last[0]:
+            basis = last
         status, x, val, gap, _, basis = solve_relaxation(sf, lo, up, tol=FW_TOL, basis=basis,
                                                          deadline=deadline)
+        last = basis or last
         if status == "infeasible":
             continue
         if status == "unbounded":
@@ -107,13 +113,14 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
                     _log_progress(sign, val, [lost_bound], nodes, explored)
             continue
         j = int(bin_ids[np.argmin(np.abs(frac - 0.5))])
+        parked = basis and basis[:2]
         for branch_val in (0.0, 1.0):
             lo2, up2 = lo.copy(), up.copy()
             if branch_val == 0.0:
                 up2[j] = 0.0
             else:
                 lo2[j] = 1.0
-            (heapq.heappush if heaped else list.append)(nodes, (bound, seq, lo2, up2, basis))
+            (heapq.heappush if heaped else list.append)(nodes, (bound, seq, lo2, up2, parked))
             seq += 1
 
     open_bound = min((node[0] for node in nodes), default=incumbent)

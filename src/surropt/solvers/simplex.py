@@ -25,9 +25,18 @@ Only the start differs (Koberstein 2005; Bixby 2002):
   dual drives the artificials to 0, and one still basic there is then
   swapped for a structural column of its row (a row with none is redundant);
 * warm: the final basis of an earlier optimal solve of the same rows
-  (``SimplexOut.basis``), its nonbasics snapped to the new bounds.  A warm
-  start that hits its dual-pivot budget, its iteration limit or a numerical
-  failure is solved cold instead.
+  (``SimplexOut.basis``), its nonbasics snapped to the new bounds.  The
+  handle is ``(basis, state, inverse, A)``: the basic columns, the nonbasic
+  states, and the fresh basis inverse that solve priced "optimal" on, with
+  the matrix it factors.  On that same matrix object the start copies the
+  inverse and recomputes only the basic values; a handle of another matrix,
+  or one cut to ``(basis, state)``, is inverted.  A warm start that hits its
+  dual-pivot budget, its iteration limit or a numerical failure is solved
+  cold instead.
+
+Zero costs price every basis out, so a zero-cost solve (a feasibility
+question) takes no pricing pass: its dual enters the largest pivot, and it
+is optimal as soon as its basic values are fresh.
 """
 
 from __future__ import annotations
@@ -117,7 +126,8 @@ class SimplexOut:
     pi: np.ndarray
     reduced: np.ndarray
     iterations: int
-    basis: tuple | None = None  # (basis, state) of an optimal solve, for warm starts
+    basis: tuple | None = None  # warm-start handle of an optimal solve (module docstring)
+    inverses: int = 0  # fresh basis inverses taken
 
 
 class _Tableau:
@@ -125,6 +135,7 @@ class _Tableau:
         self.m = A.shape[0]
         self.A, self.b = A, b
         self.lower, self.upper = lower, upper
+        self.Binv = None  # explicit basis inverse, eta-updated between refactors
         if start is None:
             self._crash(slack_col)
         else:
@@ -134,8 +145,13 @@ class _Tableau:
         self.bland = False
         self._degen = 0
         self.pi = np.zeros(self.m)
-        self.Binv = None  # explicit basis inverse, eta-updated between refactors
         self._etas = 0  # eta updates since the last fresh inverse
+        self._stale = True  # x moved since the basic values were last computed
+        self.inverses = 0  # fresh inverses taken
+        # nonbasics that may rise or fall, kept up to date by _set_state
+        self.movable = self.lower < self.upper
+        self.can_rise = self.movable & _CAN_RISE[self.state]
+        self.can_fall = self.movable & _CAN_FALL[self.state]
 
     def _crash(self, slack_col):
         """Cold start: nonbasics at their nearest finite bound (free ones at 0),
@@ -150,29 +166,31 @@ class _Tableau:
         state = np.where(np.isfinite(lower), AT_LOWER,
                          np.where(np.isfinite(upper), AT_UPPER, FREE)).astype(np.int8)
         resid = b - A @ x
-        # movable columns grouped by the row of their first nonzero, with
-        # their bounds (and values, unchanged until their row) in that order
+        # movable columns grouped by the row of their first nonzero; their
+        # values stay unchanged until their row
         seen = np.logical_or.accumulate(A != 0.0, axis=0).sum(axis=0)
         first = np.where(lower < upper, m - seen, m)
         order = np.argsort(first, kind="stable")
-        starts = np.searchsorted(first[order], np.arange(m + 1))
-        lo, up, xo = lower[order] - 1e-12, upper[order] + 1e-12, x[order]
+        starts = np.searchsorted(first[order], np.arange(m + 1)).tolist()
+        cols = order[:starts[m]]  # columns that have a first row, and their entry there
+        cols, lead = cols.tolist(), A[first[cols], cols].tolist()
+        lo, up, xo = (lower - 1e-12).tolist(), (upper + 1e-12).tolist(), x.tolist()
         basis = np.full(m, -1)
-        for i in range(m):
-            j = slack_col[i]
-            if j >= 0 and lower[j] - 1e-12 <= x[j] + resid[i] <= upper[j] + 1e-12:
-                x[j] += resid[i]  # the row's own slack absorbs the residual
+        for i, j in enumerate(slack_col.tolist()):
+            r = float(resid[i])
+            if j >= 0 and lo[j] <= x[j] + r <= up[j]:
+                x[j] += r  # the row's own slack absorbs the residual
             else:
+                j, best = -1, 0.0  # the largest entry that fits, the first of ties
                 s = slice(starts[i], starts[i + 1])
-                a = A[i, order[s]]
-                val = xo[s] + resid[i] / a
-                fits = (lo[s] <= val) & (val <= up[s])
-                if not fits.any():
+                for k, a in zip(cols[s], lead[s]):
+                    v = xo[k] + r / a
+                    if abs(a) > best and lo[k] <= v <= up[k]:
+                        j, best, val = k, abs(a), v
+                if j < 0:
                     continue
-                k = int(np.argmax(np.where(fits, np.abs(a), -1.0)))
-                j = order[s][k]
-                resid -= (val[k] - x[j]) * A[:, j]  # rows above i hold no entry of column j
-                x[j] = val[k]
+                resid -= (val - x[j]) * A[:, j]  # rows above i hold no entry of column j
+                x[j] = val
             basis[i] = j
             state[j] = BASIC
         art = np.flatnonzero(basis < 0)
@@ -189,17 +207,19 @@ class _Tableau:
         self.state = state
         self.basis = basis
 
-    def _snap(self, basis, state):
+    def _snap(self, basis, state, Binv=None, A=None):
         """Warm start from an earlier basis: each nonbasic keeps its bound if
         that bound is still finite, else moves to the other one (or 0 if free);
-        the basic values come with the first inverse."""
-        lo_f, up_f = np.isfinite(self.lower), np.isfinite(self.upper)
-        snapped = np.where(lo_f, AT_LOWER, np.where(up_f, AT_UPPER, FREE))
-        snapped = np.where((state == AT_UPPER) & up_f, AT_UPPER, snapped)
-        self.state = np.where(state == BASIC, BASIC, snapped).astype(np.int8)
+        the basic values come with the first refresh, from a copy of the
+        handle's inverse when it factors this matrix."""
+        lo_f = np.isfinite(self.lower)
+        at_up = np.isfinite(self.upper) & ((state == AT_UPPER) | ~lo_f)
+        self.x = np.where(at_up, self.upper, np.where(lo_f, self.lower, 0.0))
+        self.state = np.where(at_up, AT_UPPER, np.where(lo_f, AT_LOWER, FREE)).astype(np.int8)
         self.basis = basis.copy()
-        self.x = np.where(self.state == AT_LOWER, self.lower,
-                          np.where(self.state == AT_UPPER, self.upper, 0.0))
+        self.state[basis] = BASIC
+        if A is self.A:
+            self.Binv = Binv.copy()
 
     def _invert(self):
         """Fresh explicit basis inverse, and the basic values recomputed from it."""
@@ -209,15 +229,20 @@ class _Tableau:
             raise NumericalError(f"basis inversion failed: {exc}") from exc
         if not np.isfinite(self.Binv).all():
             raise NumericalError("singular basis during refactorization")
+        self.inverses += 1
         self._etas = 0
         self._recompute_basics()
 
     def _refresh(self):
-        """A fresh inverse if eta updates were applied, then fresh basic values."""
-        if self._etas:
+        """Fresh basic values, from a fresh inverse if there is none yet or
+        eta updates were applied; False when both were fresh already."""
+        if self._etas or self.Binv is None:
             self._invert()
-        else:
+        elif self._stale:
             self._recompute_basics()
+        else:
+            return False
+        return True
 
     def _recompute_basics(self):
         xn = self.x.copy()
@@ -226,11 +251,18 @@ class _Tableau:
         if not np.isfinite(xb).all():
             raise NumericalError("singular basis during refactorization")
         self.x[self.basis] = xb
+        self._stale = False
+
+    def _set_state(self, j, state):
+        """Nonbasic state (or BASIC) of column j, with its rise/fall masks."""
+        self.state[j] = state
+        self.can_rise[j] = self.movable[j] and _CAN_RISE[state]
+        self.can_fall[j] = self.movable[j] and _CAN_FALL[state]
 
     def _replace(self, k, q, u):
         """Basis position k now holds column q (u = B^-1 a_q): eta-update B^-1."""
         self.basis[k] = q
-        self.state[q] = BASIC
+        self._set_state(q, BASIC)
         uk = u[k]
         row = self.Binv[k] / uk
         self.Binv -= u[:, None] * row
@@ -245,19 +277,20 @@ class _Tableau:
         Basic values are updated in place between fresh inverses; before it
         reports 'optimal' or 'unbounded' after any such update, the loop
         refactors and prices once more, so drift cannot end the solve.
+        Zero costs take no pricing: every basis is optimal for them.
         """
         m = self.m
-        movable = self.lower < self.upper
+        priced = c.any()
         self._refresh()
-        fresh = True
         while True:
             if self.iterations >= maxiter:
                 return "limit"
+            if not priced:
+                self.pi = np.zeros(m)
+                return "optimal"
             self.pi = c[self.basis] @ self.Binv
             d = c - self.pi @ self.A
-            st = self.state
-            up_ok = movable & _CAN_RISE[st]
-            dn_ok = movable & _CAN_FALL[st]
+            st, up_ok, dn_ok = self.state, self.can_rise, self.can_fall
             score = np.maximum(np.where(up_ok, -d, -INF), np.where(dn_ok, d, -INF))
             if self.bland:
                 eligible = np.flatnonzero(score > OPT_TOL)
@@ -267,17 +300,13 @@ class _Tableau:
                 if score[q] <= OPT_TOL:
                     q = -1
             if q < 0:
-                if not fresh:
-                    self._refresh()
-                    fresh = True
+                if self._refresh():
                     continue
                 return "optimal"
             delta = 1.0 if up_ok[q] and (not dn_ok[q] or d[q] <= 0.0) else -1.0
             u = self.Binv @ self.A[:, q]
             if not np.isfinite(u).all():
-                if not fresh:
-                    self._refresh()
-                    fresh = True
+                if self._refresh():
                     continue
                 raise NumericalError("singular basis in ratio test")
             xb = self.x[self.basis]
@@ -297,9 +326,7 @@ class _Tableau:
                 t_cap = span if np.isfinite(span) else INF
             t = min(t_basic, t_cap)
             if t == INF:
-                if not fresh:
-                    self._refresh()
-                    fresh = True
+                if self._refresh():
                     continue
                 return "unbounded"
             self.iterations += 1
@@ -308,10 +335,10 @@ class _Tableau:
                 self.bland = True
             self.x[self.basis] = xb - (delta * t) * u
             self.x[q] += delta * t
-            fresh = False
+            self._stale = True
             if t_cap <= t_basic:
                 # bound flip, basis unchanged
-                st[q] = AT_UPPER if st[q] == AT_LOWER else AT_LOWER
+                self._set_state(q, AT_UPPER if st[q] == AT_LOWER else AT_LOWER)
                 continue
             ties = np.flatnonzero(ratios <= t_basic + 1e-12)
             if self.bland:
@@ -320,17 +347,13 @@ class _Tableau:
                 k = int(ties[np.argmax(np.abs(u[ties]))])
             leave = self.basis[k]
             self.x[leave] = self.lower[leave] if denom[k] > 0 else self.upper[leave]
-            st[leave] = AT_LOWER if denom[k] > 0 else AT_UPPER
+            self._set_state(leave, AT_LOWER if denom[k] > 0 else AT_UPPER)
             self._replace(k, q, u)
-            fresh = self._etas == 0
 
     def dual_feasible(self, c):
         """Whether the reduced costs of c price every movable nonbasic out."""
         d = c - (c[self.basis] @ self.Binv) @ self.A
-        movable = self.lower < self.upper
-        st = self.state
-        wrong = (_CAN_RISE[st] & (d < -OPT_TOL)) | (_CAN_FALL[st] & (d > OPT_TOL))
-        return not (movable & wrong).any()
+        return not ((self.can_rise & (d < -OPT_TOL)) | (self.can_fall & (d > OPT_TOL))).any()
 
     def dual(self, c, feas_tol, maxiter):
         """Dual simplex from a dual feasible basis for costs c, with a current
@@ -338,50 +361,44 @@ class _Tableau:
         ``feas_tol`` of their bounds; returns 'feasible'|'infeasible'|'limit'.
 
         The leaving row is the most infeasible basic; the entering column
-        passes a Harris two-pass ratio test (largest pivot among the near-ties).
-        "infeasible" is drawn from a fresh inverse only; "feasible" may rest
-        on updated values, since ``run`` refreshes them before it prices.
+        passes a Harris two-pass ratio test (largest pivot among the near-ties;
+        under zero costs all tie).  "infeasible" is drawn from a fresh inverse
+        only; "feasible" may rest on updated values, since ``run`` refreshes
+        them before it prices.
         """
-        movable = self.lower < self.upper
         priced = c.any()
-        d = np.zeros_like(c)
-        fresh = True
-        while True:
+        while self.m:
             xb = self.x[self.basis]
             below = self.lower[self.basis] - xb
             above = xb - self.upper[self.basis]
-            if not self.m or max(below.max(), above.max()) <= feas_tol:
-                return "feasible"
+            viol = np.maximum(below, above)
+            r = int(np.argmax(viol))
+            if viol[r] <= feas_tol:
+                break
             if self.iterations >= maxiter:
                 return "limit"
-            r = int(np.argmax(np.maximum(below, above)))
             # sigma = +1: basic r rises to its lower bound, -1: falls to its upper
             sigma = 1.0 if below[r] > above[r] else -1.0
             alpha = sigma * (self.Binv[r] @ self.A)
-            if priced:
-                d = c - (c[self.basis] @ self.Binv) @ self.A
-            st = self.state
             # entering candidates: moving in their allowed direction pushes row r
             # toward its bound; each may move until its reduced cost reaches 0
-            rise = movable & _CAN_RISE[st] & (alpha < -PIV_TOL)
-            fall = movable & _CAN_FALL[st] & (alpha > PIV_TOL)
-            elig = np.flatnonzero(rise | fall)
+            rise = self.can_rise & (alpha < -PIV_TOL)
+            elig = np.flatnonzero(rise | (self.can_fall & (alpha > PIV_TOL)))
             if not elig.size:
-                if not fresh:
-                    self._refresh()
-                    fresh = True
+                if self._refresh():
                     continue
                 return "infeasible"
-            dj = np.maximum(np.where(rise[elig], d[elig], -d[elig]), 0.0)
             aj = np.abs(alpha[elig])
-            bound = ((dj + OPT_TOL) / aj).min()
-            near = np.flatnonzero(dj / aj <= bound)
-            q = int(elig[near[np.argmax(aj[near])]])
+            if priced:
+                d = c - (c[self.basis] @ self.Binv) @ self.A
+                dj = np.maximum(np.where(rise[elig], d[elig], -d[elig]), 0.0)
+                near = np.flatnonzero(dj / aj <= ((dj + OPT_TOL) / aj).min())
+                q = int(elig[near[np.argmax(aj[near])]])
+            else:
+                q = int(elig[np.argmax(aj)])
             u = self.Binv @ self.A[:, q]
             if not np.isfinite(u).all() or abs(u[r]) <= PIV_TOL:
-                if not fresh:
-                    self._refresh()
-                    fresh = True
+                if self._refresh():
                     continue
                 raise NumericalError("unstable dual pivot")
             leave = self.basis[r]
@@ -391,21 +408,25 @@ class _Tableau:
             self.x[self.basis] = xb - step * u
             self.x[q] += step
             self.x[leave] = target
-            st[leave] = AT_LOWER if sigma > 0 else AT_UPPER
+            self._stale = True
+            self._set_state(leave, AT_LOWER if sigma > 0 else AT_UPPER)
             self._replace(r, q, u)
-            fresh = self._etas == 0
+        return "feasible"
 
     def pivot_out_artificials(self, n):
         """Swap each artificial still basic (at 0, after the dual) for the
         nonbasic column among the first n with the largest entry in its row;
         an artificial whose row has none stays, its row being redundant."""
+        if self.ntot == n:
+            return
         for k in np.flatnonzero(self.basis >= n):
             row = self.Binv[k] @ self.A[:, :n]
             candidates = np.flatnonzero((np.abs(row) > 1e-7) & (self.state[:n] != BASIC))
             if candidates.size:
                 enter = int(candidates[np.argmax(np.abs(row[candidates]))])
-                self.state[self.basis[k]] = AT_LOWER
+                self._set_state(self.basis[k], AT_LOWER)
                 self.x[self.basis[k]] = 0.0
+                self._stale = True
                 self._replace(k, enter, self.Binv @ self.A[:, enter])
 
 
@@ -429,13 +450,16 @@ def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
         maxiter = 200 * (m + ntot) + 2000
     feas_scale = FEAS_TOL * max(1.0, float(np.abs(sf.b).max(initial=0.0)))
     # a warm start that stops at a limit or fails numerically is solved cold
+    tab = None
     for start in (None,) if basis is None else (basis, None):
+        spent = tab.inverses if tab else 0  # by a warm start given up
         tab = _Tableau(sf.A, sf.b, lo, up, sf.slack_col, start)
+        tab.inverses = spent
         c = np.zeros(tab.ntot)  # artificials cost nothing
         c[:ntot] = c_struct
         try:
-            tab._invert()
-            dual_c = c if tab.dual_feasible(c) else np.zeros_like(c)
+            tab._refresh()
+            dual_c = c if not c.any() or tab.dual_feasible(c) else np.zeros_like(c)
             status = tab.dual(dual_c, feas_scale,
                               maxiter if start is None else min(maxiter, DUAL_LIMIT))
             if status == "feasible":
@@ -451,12 +475,13 @@ def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
 
 def _finish(sf, tab, c, status):
     """Point, duals and reduced costs from the kept basis inverse, which
-    ``run`` leaves fresh unless it stopped at its limit; the basis is kept
-    for warm starts when the solve is optimal and no artificial stayed basic."""
+    ``run`` leaves fresh unless it stopped at its limit; the dead tableau's
+    basis, states and inverse are the warm-start handle when the solve is
+    optimal and no artificial stayed basic."""
     ntot = sf.A.shape[1]
     if status == "infeasible":
         return SimplexOut(status, tab.x[:ntot].copy(), math.nan, tab.pi,
-                          np.zeros(ntot), tab.iterations)
+                          np.zeros(ntot), tab.iterations, inverses=tab.inverses)
     if status == "limit":
         tab._refresh()
         tab.pi = c[tab.basis] @ tab.Binv
@@ -465,8 +490,8 @@ def _finish(sf, tab, c, status):
     obj = float(c[:ntot] @ x) + sf.c0
     basis = None
     if status == "optimal" and tab.basis.max(initial=-1) < ntot:
-        basis = (tab.basis.copy(), tab.state[:ntot].copy())
-    return SimplexOut(status, x, obj, tab.pi, reduced, tab.iterations, basis)
+        basis = (tab.basis, tab.state[:ntot], tab.Binv, sf.A)
+    return SimplexOut(status, x, obj, tab.pi, reduced, tab.iterations, basis, tab.inverses)
 
 
 _STATUS_MAP = {

@@ -234,6 +234,138 @@ def test_warm_start_after_a_cost_change_matches_highs(seed, m, n, cost_seed):
     assert_warm_matches_highs(model, kwargs, sf.lower, sf.upper, c, out.basis)
 
 
+def moved_bounds(sf, x, n, moves):
+    """The bounds of ``sf`` after the moves of
+    ``test_warm_start_after_bound_changes_matches_highs`` on its first n
+    columns around the point x."""
+    lower, upper = sf.lower.copy(), sf.upper.copy()
+    for j, kind, frac in moves:
+        j %= n
+        below = x[j] - lower[j] if np.isfinite(lower[j]) else 2.0
+        above = upper[j] - x[j] if np.isfinite(upper[j]) else 2.0
+        if kind == "tighten":
+            lower[j] = x[j] - (1 - frac) * below
+            upper[j] = x[j] + (1 - frac) * above
+        elif kind == "fix":
+            lower[j] = upper[j] = x[j] - frac * below
+        else:
+            step = frac * (1.0 if kind == "cross" else 10.0)
+            if frac < 0.5 and np.isfinite(upper[j]):
+                upper[j] = min(upper[j], x[j] - step)
+            else:
+                lower[j] = max(lower[j], x[j] + step)
+    return lower, upper
+
+
+def assert_same_bits(a, b):
+    """Two simplex outputs agree bit for bit, warm-start handles included."""
+    assert (a.status, a.iterations, repr(a.obj)) == (b.status, b.iterations, repr(b.obj))
+    for name in ("x", "pi", "reduced"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.basis is None) == (b.basis is None)
+    if a.basis is not None:
+        assert all(u.tobytes() == v.tobytes() for u, v in zip(a.basis[:3], b.basis[:3]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(1, 14), n=hst.integers(1, 14),
+       moves=hst.lists(hst.tuples(hst.integers(0, 13), hst.sampled_from(
+           ["tighten", "fix", "cross", "far"]), hst.floats(0.05, 1.0)), max_size=4),
+       cost_seed=hst.none() | hst.integers(0, 2**32 - 1))
+def test_carried_inverse_changes_no_bit(seed, m, n, moves, cost_seed):
+    # a re-solve after bound or cost changes from the full handle, whose
+    # inverse is copied, equals one from (basis, state), which is inverted
+    model, _ = random_lp(seed, m, n)
+    sf = simplex.standard_form(model)
+    out = simplex.solve_standard_form(sf)
+    assume(out.basis is not None)
+    basis, _, inverse, A = out.basis
+    assert A is sf.A
+    assert inverse.tobytes() == np.linalg.inv(sf.A[:, basis]).tobytes()
+    again = simplex.solve_standard_form(sf, basis=out.basis)  # still optimal
+    assert (again.status, again.iterations, again.inverses) == ("optimal", 0, 0)
+    lower, upper = moved_bounds(sf, out.x, n, moves)
+    assume(np.all(lower <= upper))
+    c = sf.c.copy()
+    if cost_seed is not None:
+        c[:n] = np.round(np.random.default_rng(cost_seed).uniform(-2, 2, n), 1)
+    carried = simplex.solve_standard_form(sf, c_min=c, lower=lower, upper=upper,
+                                          basis=out.basis)
+    inverted = simplex.solve_standard_form(sf, c_min=c, lower=lower, upper=upper,
+                                           basis=out.basis[:2])
+    assert_same_bits(carried, inverted)
+    assert carried.inverses == inverted.inverses - 1
+
+
+def test_zero_cost_solve_at_its_iteration_limit_reports_limit():
+    # zero-cost solves skip pricing, not the limit check, cold or warm
+    limited = 0
+    for seed in range(40):
+        model, _ = random_lp(seed, 8, 10)
+        sf = simplex.standard_form(model)
+        zero = np.zeros_like(sf.c)
+        full = simplex.solve_standard_form(sf, c_min=zero)
+        if full.status != "optimal":
+            continue
+        assert simplex.solve_standard_form(sf, c_min=zero, maxiter=0).status == "limit"
+        warm = simplex.solve_standard_form(sf, c_min=zero, maxiter=0, basis=full.basis)
+        assert warm.status == "limit"
+        if full.iterations:
+            out = simplex.solve_standard_form(sf, c_min=zero, maxiter=full.iterations - 1)
+            assert out.status == "limit" and out.iterations == full.iterations - 1
+            limited += 1
+    assert limited >= 5
+
+
+def test_infeasible_zero_cost_child_rests_on_a_fresh_inverse(monkeypatch):
+    verdicts = []  # (eta updates, stale basic values) at each "infeasible"
+    dual = simplex._Tableau.dual
+
+    def checking_dual(tab, c, feas_tol, maxiter):
+        status = dual(tab, c, feas_tol, maxiter)
+        if status == "infeasible":
+            verdicts.append((tab._etas, tab._stale, tab.iterations))
+        return status
+
+    monkeypatch.setattr(simplex._Tableau, "dual", checking_dual)
+    rng = np.random.default_rng(3)
+    for seed in range(60):
+        model, _ = random_lp(seed, 8, 10)
+        sf = simplex.standard_form(model)
+        zero = np.zeros_like(sf.c)
+        parent = simplex.solve_standard_form(sf, c_min=zero)
+        if parent.basis is None:
+            continue
+        moves = [(int(rng.integers(10)), "far", float(rng.uniform(0.05, 1.0)))
+                 for _ in range(3)]
+        lower, upper = moved_bounds(sf, parent.x, 10, moves)
+        if np.any(lower > upper):
+            continue
+        child = simplex.solve_standard_form(sf, c_min=zero, lower=lower, upper=upper,
+                                            basis=parent.basis)
+        again = simplex.solve_standard_form(sf, c_min=zero, lower=lower, upper=upper,
+                                            basis=parent.basis[:2])
+        assert_same_bits(child, again)
+    assert verdicts and all(etas == 0 and not stale for etas, stale, _ in verdicts)
+    assert any(pivots for _, _, pivots in verdicts)  # some after dual pivots
+
+
+def test_handle_of_another_matrix_is_inverted():
+    model, _ = random_lp(5, 9, 12)
+    sf = simplex.standard_form(model)
+    out = simplex.solve_standard_form(sf)
+    assert out.basis is not None
+    lower = sf.lower.copy()
+    lower[0] = out.x[0] + 0.5
+    copied = replace(sf, A=sf.A.copy())  # equal entries, another object
+    other = simplex.solve_standard_form(copied, lower=lower, basis=out.basis)
+    cold_inverse = simplex.solve_standard_form(sf, lower=lower, basis=out.basis[:2])
+    assert_same_bits(other, cold_inverse)
+    assert other.status == "optimal" and other.iterations >= 1
+    assert other.inverses == cold_inverse.inverses
+    assert other.basis[3] is copied.A
+
+
 def test_optimal_cold_solves_hand_back_a_basis():
     # an artificial the dual leaves basic at 0 is swapped for a structural
     # column of its row; only a redundant row may keep one, so an optimal
@@ -334,6 +466,30 @@ def test_bb_children_start_from_the_parent_basis(monkeypatch):
     res = milp_solve(model)
     assert res.status is Status.OPTIMAL and res.nodes > 10
     assert cold[0] == 1  # the root
+
+
+def test_bb_parks_open_nodes_without_a_basis_inverse(monkeypatch):
+    from surropt.solvers import branch_bound
+
+    model, _ = _box_model(random_network(np.random.default_rng(0), [2, 10, 1]), "mip")
+    starts = []  # per node: its warm start, and the last handle solved before it
+    last = [None]
+    solve = branch_bound.solve_relaxation
+
+    def recording(sf, lower, upper, **kw):
+        starts.append((kw["basis"], last[0]))
+        rel = solve(sf, lower, upper, **kw)
+        last[0] = rel.basis or last[0]
+        return rel
+
+    monkeypatch.setattr(branch_bound, "solve_relaxation", recording)
+    res = milp_solve(model)
+    assert res.status is Status.OPTIMAL and res.nodes == len(starts) > 10
+    # an open node holds (basis, state); the last solved node's full handle,
+    # inverse included, goes to a node popped right after it that is its child
+    full = [basis is prev for basis, prev in starts[1:]]
+    assert all(basis is prev or len(basis) == 2 for basis, prev in starts[1:])
+    assert sum(full) >= len(full) // 3
 
 
 def test_oracle_prefixes_and_leaves_start_from_an_ancestor_basis(monkeypatch):
