@@ -298,10 +298,11 @@ def slope_jacobian(net: Network, slopes) -> np.ndarray:
     leading batch axis, shape ``(pieces, fan_out)``, give one Jacobian per
     piece, shape ``(pieces, output_dim, input_dim)``.
     """
-    J = np.eye(net.input_dim)
+    J = None  # the identity, until the first hidden layer
     for lay, d in zip(net.hidden_layers, slopes):
-        J = (lay.weights * d[..., None]) @ J
-    return net.layers[-1].weights @ J
+        Wd = lay.weights * d[..., None]
+        J = Wd if J is None else Wd @ J
+    return net.layers[-1].weights.copy() if J is None else net.layers[-1].weights @ J
 
 
 def _slopes(net: Network, preacts, tol):

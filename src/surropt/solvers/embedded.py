@@ -1,18 +1,23 @@
 """Direct optimization over DNN(x) without per-neuron auxiliary variables.
 
 An augmented-Lagrangian outer loop handles the (inequality) constraints; the
-inner solves are projected gradient descent with Barzilai-Borwein steps over
-the input region.  The gradient g of the augmented Lagrangian uses the
-network Jacobian with every degenerate ReLU neuron inactive
-(``nn.preactivation_jacobian``, bound here as ``_dnn_jacobian``), and the
-trace's dual infeasibility is ``|x - P(x - g)|``, so at a kink optimum of a
-ReLU net that column never vanishes while a smooth net's does.
+inner solves are spectral projected gradient (Birgin, Martinez & Raydan 2000):
+Barzilai-Borwein steps over the input region, each accepted by an Armijo test
+against the largest augmented-Lagrangian value of the last NONMONOTONE_MEMORY
+accepted iterates (Grippo, Lampariello & Lucidi 1986), a memory that restarts
+at every multiplier or penalty update.  The gradient g of the augmented
+Lagrangian uses the network Jacobian with every ReLU neuron within KINK_TOL of
+its kink inactive (``nn.preactivation_jacobian``, bound here as
+``_dnn_jacobian``), and the trace's dual infeasibility is ``|x - P(x - g)|``,
+so at a kink optimum of a ReLU net that column never vanishes while a smooth
+net's does.
 
 At an iterate of a pure-ReLU net where k <= KINK_CAP hidden neurons lie within
 KINK_RADIUS of their kink, the solver instead takes the min-norm element v of
 the hull of the 2**k piece gradients around the kink (the gradient-sampling
-direction of Burke, Lewis & Overton 2005): it steps along -v, and
-``|x - P(x - v)|`` decides the inner solve.  A primal-feasible kink iterate
+direction of Burke, Lewis & Overton 2005): it steps along -v, tested against
+the current value alone (the memory restarts there), and ``|x - P(x - v)|``
+decides the inner solve.  A primal-feasible kink iterate
 where that measure is below ``tol`` ends at once as Stalled: the point is
 Clarke stationary, but not a smooth optimum.  A run whose state can no longer
 change (multipliers and penalty fixed for good, x not moving) stops at once
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -41,6 +47,14 @@ from .result import SolveResult, Status, TraceRecord
 DEFAULT_MAX_ITER = 3000
 DEFAULT_TOL = 1e-6
 RHO_MAX = 1e10  # cap of the augmented-Lagrangian penalty
+# the gradient and the trace treat a ReLU neuron within KINK_TOL of 0 as inactive
+KINK_TOL = 1e-10
+# a trial step must improve on the largest augmented-Lagrangian value of the
+# last NONMONOTONE_MEMORY accepted iterates (Grippo, Lampariello & Lucidi 1986).
+# Not the literature's 10: longer climbs carry ReLU solves past the kinks and
+# frozen states that end them early (with 10, a kink stall took 224 iterations
+# instead of 67 and a capped-penalty loop 371 instead of 172)
+NONMONOTONE_MEMORY = 5
 # hidden ReLU neurons with |preactivation| <= KINK_RADIUS sit at a kink; the
 # solver takes the hull of the 2**k pieces around at most KINK_CAP of them
 KINK_RADIUS = 1e-6
@@ -202,7 +216,7 @@ def _kink_pieces(net: Network, preacts, gx, gy):
 def embedded_solve(net: Network, objective: SmoothObjective, region,
                    constraints: SmoothConstraints | None = None, start=None,
                    max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                   kink_tol: float = 1e-10, trace_path=None):
+                   trace_path=None):
     """Minimize f(DNN(x), x) s.t. c(DNN(x), x) <= 0 over x in the region.
 
     Returns (SolveResult, [TraceRecord...]) with one trace row per inner
@@ -246,7 +260,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         if w.size:
             gx = gx + np.asarray(constraints.jac_x(y, x)).T @ w
             gy = gy + np.asarray(constraints.jac_y(y, x)).T @ w
-        J = _dnn_jacobian(net, preacts, kink_tol)
+        J = _dnn_jacobian(net, preacts, KINK_TOL)
         kink = _kink_pieces(net, preacts, gx, gy) if pure_relu else None
         if kink is not None:
             pieces, k = kink
@@ -270,6 +284,8 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         if here is None:
             parts = al_parts(x)
             here = parts, *al_grad(x, parts)
+            # AL values of this inner solve's last accepted iterates, x's the newest
+            recent = deque([parts[-1]], maxlen=NONMONOTONE_MEMORY)
         (_, _, c, w, fval, alval), g, kink = here
         primal = float(np.maximum(c, 0.0).max(initial=0.0))
         dual = measure(x, g)
@@ -277,9 +293,11 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         it += 1
         d = g
         if kink is not None:
-            # at a kink, descend along the min-norm hull element and judge by it
+            # at a kink, descend along the min-norm hull element and judge by
+            # it, with a monotone line search from here
             d = kink[0]
             dual = measure(x, d)
+            recent = deque([alval], maxlen=NONMONOTONE_MEMORY)
             if primal <= tol and dual <= tol:
                 log.debug("kink stop at iteration %d: k=%d pieces=%d measure=%.3e",
                           it - 1, kink[1], kink[2], dual)
@@ -322,7 +340,8 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
                 break  # unconstrained and no descent step exists
             inner_target = max(tol / 2.0, inner_target * 0.2)
             continue
-        # projected step along -d with Armijo backtracking
+        # projected step along -d with nonmonotone Armijo backtracking
+        ref = max(recent)
         step = alpha
         accepted = False
         for _ in range(40):
@@ -331,7 +350,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             if np.abs(s).max(initial=0.0) <= 0.0:
                 break
             parts = al_parts(x_try)
-            if parts[-1] <= alval + 1e-4 * float(d @ s):
+            if parts[-1] <= ref + 1e-4 * float(d @ s):
                 accepted = True
                 break
             step *= 0.5
@@ -345,6 +364,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         alpha = min(max(alpha, 1e-12), 1e8)
         x = x_try
         here = parts, g_new, kink_new
+        recent.append(parts[-1])
         stuck = frozen = False
 
     y = forward(net, x)

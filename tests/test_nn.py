@@ -202,6 +202,28 @@ def test_slope_jacobian_is_the_product_of_slope_scaled_layers():
                                        rtol=1e-12, atol=1e-14)
 
 
+def test_slope_jacobian_is_bitwise_the_product_started_from_the_identity():
+    # starting from the first layer's scaled weights drops a product with I,
+    # which only adds exact zeros
+    rng = np.random.default_rng(6)
+    for dims in ([3, 5, 2], [64, 24, 4], [4, 6, 5, 3]):
+        net = random_network(rng, dims)
+        for batch in ((), (7,)):
+            slopes = [rng.uniform(0.0, 1.0, batch + (lay.fan_out,)) for lay in net.hidden_layers]
+            J = np.eye(dims[0])
+            for lay, d in zip(net.hidden_layers, slopes):
+                J = (lay.weights * d[..., None]) @ J
+            assert np.array_equal(slope_jacobian(net, slopes), net.layers[-1].weights @ J)
+
+
+def test_slope_jacobian_of_a_net_without_hidden_layers():
+    net = Network((Layer([[1.0, -2.0]], [0.5], LIN),))
+    J = slope_jacobian(net, [])
+    assert np.array_equal(J, [[1.0, -2.0]])
+    J[0, 0] = 3.0
+    assert net.layers[0].weights[0, 0] == 1.0  # a copy, not the layer's weights
+
+
 def test_batched_slope_jacobian_stacks_the_per_piece_calls():
     rng = np.random.default_rng(4)
     for dims in ([3, 5, 2], [4, 6, 5, 3]):
