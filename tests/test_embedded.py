@@ -223,11 +223,10 @@ def test_max_iter_budget_respected():
     assert len(trace) <= 50
 
 
-@pytest.mark.parametrize("seed", [1, 3, 4, 9])
-def test_line_search_is_nonmonotone_within_its_memory(seed):
-    # min y + 0.5 ||x - x0||^2 over [-2, 2]^4 on a swish net: with no
-    # constraints and no kinks the trace objective is the augmented Lagrangian
-    # and the memory spans the whole solve
+def swish_descent(seed):
+    """min y + 0.5 ||x - x0||^2 over [-2, 2]^4 on a swish [4, 12, 1] net: with
+    no constraints and no kinks the trace objective is the augmented
+    Lagrangian, and the line-search memory spans the whole solve."""
     rng = np.random.default_rng(seed)
     net = random_network(rng, [4, 12, 1], "swish")
     x0 = rng.uniform(-1.0, 1.0, 4)
@@ -236,7 +235,12 @@ def test_line_search_is_nonmonotone_within_its_memory(seed):
         grad_x=lambda y, x: x - x0,
         grad_y=lambda y, x: np.ones(1),
     )
-    res, trace = embedded_solve(net, obj, BoxRegion(-2.0 * np.ones(4), 2.0 * np.ones(4)))
+    return net, obj, BoxRegion(-2.0 * np.ones(4), 2.0 * np.ones(4))
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4, 9])
+def test_line_search_is_nonmonotone_within_its_memory(seed):
+    res, trace = embedded_solve(*swish_descent(seed))
     assert res.status is Status.OPTIMAL
     values = [t.objective for t in trace]
     assert any(b > a for a, b in zip(values, values[1:]))  # some accepted step climbs
@@ -245,6 +249,14 @@ def test_line_search_is_nonmonotone_within_its_memory(seed):
     m = embedded.NONMONOTONE_MEMORY
     for i in range(1, len(accepted)):
         assert accepted[i] <= max(accepted[max(0, i - m):i])
+
+
+def test_budget_exit_returns_the_lowest_point_of_the_last_inner_solve():
+    # the search climbed on its last steps: the run returns the point it left
+    res, trace = embedded_solve(*swish_descent(9), max_iter=5)
+    assert res.status is Status.STALLED
+    values = [t.objective for t in trace]
+    assert res.objective == min(values) < values[-1]
 
 
 # --- ReLU kinks: the min-norm element of the hull of the piece gradients ---
@@ -447,40 +459,36 @@ def member_six_attack(seed):
                                                                    start=image.copy())
 
 
-def capped_penalty_tail(seed, caplog):
-    """Solve member_six_attack(seed), which ends LimitReached with the penalty at
-    its cap and the multipliers kept; returns the result and the trace rows
-    from the last logged update on."""
-    args, kwargs = member_six_attack(seed)
+def test_frozen_augmented_lagrangian_loop_ends_at_once(caplog):
+    # the penalty reaches its cap, the multipliers stay and the line search
+    # keeps failing at one point: the full budget would end in this state
+    args, kwargs = member_six_attack(2)
     with caplog.at_level(logging.DEBUG, logger=embedded.__name__):
         res, trace = embedded_solve(*args, **kwargs)
     assert res.status is Status.LIMIT
     assert res.iterations < 300
+    assert res.objective == pytest.approx(0.25119320858969, rel=1e-9)
     assert trace[-1].primal_infeasibility > embedded.DEFAULT_TOL
     updates = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("AL update")]
     assert "rho=1e+10" in updates[-1] and updates[-1].endswith("lam kept")
-    last = int(re.match(r"AL update at iteration (\d+)", updates[-1]).group(1))
-    return res, [(t.objective, t.primal_infeasibility, t.dual_infeasibility)
-                 for t in trace[last:]]
-
-
-def test_frozen_augmented_lagrangian_loop_ends_at_once(caplog):
-    # the penalty reaches its cap and the multipliers stay; the point moves
-    # until its measure is below tol, where every later update is idle: the
-    # full budget would end in this state
-    res, tail = capped_penalty_tail(2, caplog)
-    assert res.objective == pytest.approx(0.25119351733664, rel=1e-9)
-    # past the last logged update the point moved; the first iterate whose
-    # measure is below tol ends the solve without another update
-    assert len(set(tail)) > 1 and res.kkt_residual <= embedded.DEFAULT_TOL
-
-
-def test_frozen_loop_after_a_failed_line_search_ends_at_once(caplog):
-    # the penalty reaches its cap, the multipliers stay and the line search
-    # keeps failing at one point: the full budget would end in this state
-    res, tail = capped_penalty_tail(1, caplog)
-    assert res.kkt_residual > embedded.DEFAULT_TOL
     # the last logged update, a failed line search and the same update again,
     # all at one point: the second time the solve ends
+    last = int(re.match(r"AL update at iteration (\d+)", updates[-1]).group(1))
+    tail = [(t.objective, t.primal_infeasibility, t.dual_infeasibility)
+            for t in trace[last:]]
     assert len(tail) == 3 and len(set(tail)) == 1
+
+
+@pytest.mark.parametrize("seed, value", [(9, 0.29424488222745787),
+                                         (10, 0.29429747195926637),
+                                         (17, 0.29406762439954925)])
+def test_constrained_line_search_is_monotone_until_the_first_update(seed, value):
+    # a memory holding the infeasible start's penalty term admits a step into
+    # a violated basin the capped penalty cannot leave (LimitReached at about
+    # 0.2514); descending from the start finds a feasible kink stall instead
+    args, kwargs = member_six_attack(seed)
+    res, trace = embedded_solve(*args, **kwargs)
+    assert res.status is Status.STALLED
+    assert trace[-1].primal_infeasibility <= embedded.DEFAULT_TOL
+    assert res.objective == pytest.approx(value, rel=1e-9)
