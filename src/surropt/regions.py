@@ -153,7 +153,7 @@ def _nonempty_patterns(net: Network, slack, search, active=frozenset(), box=None
     def leaf(flags, *_):
         found.append(active | {nid for ((_, nid), *_), act in zip(neurons, flags) if act})
 
-    lost = branch_descent(sf, neurons, leaf, margin=slack)
+    lost, _ = branch_descent(sf, neurons, leaf, margin=slack)
     if lost:  # a zero-cost LP is never unbounded: only the iteration limit gets here
         raise SolverError(f"region LP ended with status {lost.pop()!r}")
     return found

@@ -1,11 +1,12 @@
 """Activation-pattern solvers for models built by the encoders.
 
 Fixing every neuron's branch (output side or slack side) turns either
-encoding into a convex LP/QP; enumerating the branch choices yields a global
-oracle, and single-neuron branch flips at degenerate pairs give a verifiable
-local search for the complementarity formulation.  A flip changes only
-bounds, so its LP starts from the current subproblem's basis; the search's
-final subproblem is solved cold again when the search moved.
+encoding into a convex LP/QP; a bound-pruned, exact search over the branch
+choices yields a global oracle, and single-neuron branch flips at degenerate
+pairs give a verifiable local search for the complementarity formulation.  A
+flip changes only bounds, so its LP starts from the current subproblem's
+basis; the search's final subproblem is solved cold again when the search
+moved.
 """
 
 from __future__ import annotations
@@ -74,58 +75,109 @@ def _point_satisfies(x, lower, upper, tol=1e-9):
     return bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
 
 
+def _cap_pairs(sf, neurons):
+    """Cap each neuron's y and s in place from its own row y - s = a, in order:
+    y <= max(0, a_hi) and s <= max(0, -a_lo), with [a_lo, a_hi] the interval
+    of a over the bounds of the row's other variables.  Every full branch
+    assignment satisfies the caps, so no leaf's feasible set changes."""
+    A, lower, upper = sf.A, sf.lower, sf.upper
+    for _, y, s, _ in neurons:
+        rows = np.flatnonzero((A[:, y] != 0.0) & (A[:, s] == -A[:, y]) & (sf.slack_col < 0))
+        if not rows.size:
+            continue
+        row = A[rows[0]]
+        others = np.flatnonzero(row)
+        others = others[(others != y) & (others != s)]
+        w = -row[others] / row[y]  # a = b / A[r, y] + w . x_others
+        base = sf.b[rows[0]] / row[y]
+        a_hi = base + np.where(w > 0, w * upper[others], w * lower[others]).sum()
+        a_lo = base + np.where(w > 0, w * lower[others], w * upper[others]).sum()
+        upper[y] = min(upper[y], max(0.0, a_hi))
+        upper[s] = min(upper[s], max(0.0, -a_lo))
+
+
 _LOST = {"limit": Status.LIMIT, "unbounded": Status.UNBOUNDED}
 
 
-def branch_descent(sf, neurons, leaf, margin=0.0):
+def branch_descent(sf, neurons, leaf, margin=0.0, cutoff=None):
     """Depth-first walk over the neurons' branches, active side first.
 
     An infeasible prefix is pruned as a block, which cannot lose a leaf since
-    fixing further neurons only shrinks the feasible set.  A child whose bounds
-    the parent's witness point satisfies needs no LP; otherwise a zero-cost LP,
-    warm from the parent's basis, decides it.  ``leaf(flags, lower, upper,
-    basis)`` sees each full assignment (``flags[k]``: neuron k active) and
-    returns its status.  Returns the statuses of LPs, prefix or leaf, that
-    ended neither optimal nor infeasible.
+    fixing further neurons only shrinks the feasible set.  Each node carries a
+    feasible point: a child whose bounds it satisfies needs no LP; otherwise
+    an LP, warm from the parent's basis, decides the child.  Those LPs cost
+    nothing unless ``cutoff`` is given.  Then they minimize ``sf.c``, and a
+    subtree whose optimum is at least ``cutoff()`` (the incumbent's value)
+    minus 1e-12 is skipped; a node whose LP is unbounded keeps its point with
+    no bound.  ``leaf(flags, lower, upper, node)`` sees each full assignment
+    (``flags[k]``: neuron k active) with its node ``(x, value, basis)``, or
+    None at a root leaf; ``value`` is the optimum at these bounds, or None
+    when no LP proved one.  It returns its status.  Returns the statuses of
+    the LPs, prefix or leaf, that ended neither optimal nor infeasible (an
+    unbounded prefix is kept, so "unbounded" is always a leaf's), and the
+    number of prefix LPs solved.
     """
-    zero_c = np.zeros(sf.A.shape[1])
+    costed = cutoff is not None
+    c_min = None if costed else np.zeros(sf.A.shape[1])
     flags: list = []
     lost = set()  # statuses of LPs that ended neither optimal nor infeasible
+    solved = [0]
 
-    def descend(k, lower, upper, witness, basis):
+    def beaten(node):
+        """Whether the incumbent is at least as good as every leaf under node."""
+        return node is not None and node[1] is not None and node[1] >= cutoff() - 1e-12
+
+    def child_node(lower, upper, node):
+        """The child's (x, value, basis), or None when it holds no point."""
+        if node is not None and _point_satisfies(node[0], lower, upper):
+            return node  # an optimum over the parent is one over the child
+        out = solve_standard_form(sf, c_min=c_min, lower=lower, upper=upper,
+                                  basis=node and node[2])
+        solved[0] += 1
+        if out.status == "optimal":
+            return out.x, out.obj if costed else None, out.basis
+        if out.status == "unbounded" and costed:
+            return out.x, None, None  # a feasible point, no bound
+        if out.status in _LOST:
+            lost.add(out.status)  # the subtree is unexplored, not empty
+        return None
+
+    def descend(k, lower, upper, node):
         if k == len(neurons):
-            status = leaf(flags, lower, upper, basis)
+            status = leaf(flags, lower, upper, node)
             if status in _LOST:
                 lost.add(status)
             return
         for active in (True, False):
+            if beaten(node):  # the first child's subtree may have moved the incumbent
+                return
             lo2, up2 = lower.copy(), upper.copy()
             if not _apply_branch(lo2, up2, neurons[k], active, margin):
                 continue
-            flags.append(active)
-            wit2, basis2 = witness, basis
-            if witness is None or not _point_satisfies(witness, lo2, up2):
-                feas = solve_standard_form(sf, c_min=zero_c, lower=lo2, upper=up2,
-                                           basis=basis)
-                wit2 = feas.x if feas.status == "optimal" else None
-                basis2 = feas.basis
-                if feas.status in _LOST:
-                    lost.add(feas.status)  # the subtree is unexplored, not empty
-            if wit2 is not None:
-                descend(k + 1, lo2, up2, wit2, basis2)
-            flags.pop()
+            child = child_node(lo2, up2, node)
+            if child is not None and not beaten(child):
+                flags.append(active)
+                descend(k + 1, lo2, up2, child)
+                flags.pop()
 
-    descend(0, sf.lower.copy(), sf.upper.copy(), None, None)
-    return lost
+    descend(0, sf.lower.copy(), sf.upper.copy(), None)
+    return lost, solved[0]
 
 
 def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
                             fw_tol: float = FW_TOL) -> SolveResult:
-    """Global oracle: exhaust all 2^n branch assignments and keep the best.
+    """Global oracle: a bound-pruned, exact search over the branch assignments.
 
     Each assignment fixes every pair's branch, making the remaining problem a
     convex LP/QP; ``branch_descent`` prunes assignments whose partial fixing
-    is already infeasible.
+    is already infeasible.  With a linear objective each neuron's ``y`` and
+    ``s`` are first capped from its own row (``_cap_pairs``), so prefix
+    relaxations are bounded, and the descent prunes prefixes whose relaxation
+    cannot beat the incumbent (complementarity branch and bound, Bard & Moore
+    1990; Hu, Mitchell, Pang, Bennett & Kunapuli 2008); a leaf takes its
+    node's optimum.  A quadratic objective keeps the zero-cost walk and runs
+    Frank-Wolfe at each leaf.  ``nodes`` counts the prefix LPs and leaf
+    relaxation solves.
     """
     neurons = _gather_neurons(handles)
     if len(neurons) > cap:
@@ -133,28 +185,38 @@ def pattern_enumerate_solve(model: Model, handles, cap: int = ENUMERATION_CAP,
     _check_free_binaries(model, neurons)
     sf = standard_form(model)
     best = [math.inf, None, None]  # min-space value, x, active set
+    leaf_solves = [0]
 
-    def leaf(flags, lower, upper, basis):
-        status, x, val, _, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol,
-                                                   basis=basis)
+    def leaf(flags, lower, upper, node):
+        if node is not None and node[1] is not None:
+            status, x, val = "optimal", node[0], node[1]
+        else:
+            status, x, val, _, _, _ = solve_relaxation(sf, lower, upper, tol=fw_tol,
+                                                       basis=node and node[2])
+            leaf_solves[0] += 1
         if status == "optimal" and val < best[0] - 1e-12:
             best[0], best[1] = val, x
             best[2] = {lab for (lab, *_), act in zip(neurons, flags) if act}
         return status
 
-    lost = branch_descent(sf, neurons, leaf)
+    if sf.quad:
+        lost, prefix_lps = branch_descent(sf, neurons, leaf)
+    else:
+        _cap_pairs(sf, neurons)
+        lost, prefix_lps = branch_descent(sf, neurons, leaf, cutoff=lambda: best[0])
+    lps = prefix_lps + leaf_solves[0]
     if "unbounded" in lost:
-        return SolveResult(status=Status.UNBOUNDED)
+        return SolveResult(status=Status.UNBOUNDED, nodes=lps)
     if best[1] is None:
-        return SolveResult(status=Status.LIMIT if lost else Status.INFEASIBLE)
+        return SolveResult(status=Status.LIMIT if lost else Status.INFEASIBLE, nodes=lps)
     point = {vid: float(best[1][vid]) for vid in range(model.num_variables)}
     pattern = frozenset(nid for _, nid in best[2])
     obj = sf.sign * best[0]
     if lost:  # the best leaf seen so far; unexplored leaves may beat it
         return SolveResult(status=Status.LIMIT, point=point, objective=obj,
-                           pattern=pattern)
+                           pattern=pattern, nodes=lps)
     return SolveResult(status=Status.OPTIMAL, point=point, objective=obj,
-                       best_bound=obj, pattern=pattern)
+                       best_bound=obj, pattern=pattern, nodes=lps)
 
 
 def _pattern_from_point(model, neurons, point):

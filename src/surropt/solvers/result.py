@@ -27,7 +27,9 @@ class SolveResult:
     reduced_costs: dict = field(default_factory=dict)  # var id -> reduced cost
     kkt_residual: float = math.nan
     dual_objective: float = math.nan
-    nodes: int = 0  # B&B nodes explored, or patterns an MPCC local search evaluated
+    # B&B nodes explored, patterns an MPCC local search evaluated, or LPs the
+    # pattern oracle solved (a Frank-Wolfe leaf counts as one)
+    nodes: int = 0
     pattern: frozenset | None = None  # pattern-based solvers only
 
     @property

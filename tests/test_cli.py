@@ -130,6 +130,14 @@ def test_encode_and_solve_flow(tmp_path, capsys, rng):
     assert local["objective"] >= oracle["objective"] - 1e-9
 
 
+def test_oracle_json_reports_its_lp_count(tmp_path, capsys, rng):
+    spec = engine_files(tmp_path, rng)
+    code, out, err = run(capsys, "--json", "solve", "--problem", str(spec),
+                         "--solver", "oracle", "--formulation", "mpcc")
+    assert code == 0, err
+    assert json.loads(out)["nodes"] > 0
+
+
 def test_embedded_solve_writes_trace(tmp_path, capsys, rng):
     spec = engine_files(tmp_path, rng)
     trace = tmp_path / "trace.csv"

@@ -123,7 +123,11 @@ def test_oracle_leaf_unbounded_is_reported(monkeypatch):
 
 def test_oracle_witness_limit_does_not_prune_as_infeasible(monkeypatch):
     m, h = _oracle_instance()
-    _inject(monkeypatch, "limit", lambda k, kw: kw.get("c_min") is not None)
+    pairs = [(y, s) for y, s, _ in h.neuron_vars.values()]
+    # prefix LPs: some neuron has neither y nor s fixed
+    _inject(monkeypatch, "limit", lambda k, kw: "lower" in kw and any(
+        kw["lower"][y] < kw["upper"][y] and kw["lower"][s] < kw["upper"][s]
+        for y, s in pairs))
     res = pattern.pattern_enumerate_solve(m, h)
     assert res.status is Status.LIMIT
 
