@@ -107,7 +107,7 @@ def _neuron_row(model: Model, y, s, weights_row, prev_vars, bias, tag):
     model.add_constraint(terms, EQ, float(bias), tag=tag)
 
 
-def _encode_hidden_mip(model, net, input_vars, bounds, prefix, upto, relax):
+def _encode_hidden_mip(model, net, input_vars, bounds, prefix, upto):
     """Big-M rows for hidden layers [0, upto); returns (neuron_vars, last post-activations)."""
     neuron_vars = {}
     prev = list(input_vars)
@@ -119,8 +119,7 @@ def _encode_hidden_mip(model, net, input_vars, bounds, prefix, upto, relax):
             my, ms = bounds.for_neuron(nid)
             y = model.add_variable(f"{prefix}y[{li + 1}][{i}]", lower=0.0, upper=my)
             s = model.add_variable(f"{prefix}s[{li + 1}][{i}]", lower=0.0, upper=ms)
-            kind = "continuous" if relax else BINARY
-            z = model.add_variable(f"{prefix}z[{li + 1}][{i}]", kind=kind,
+            z = model.add_variable(f"{prefix}z[{li + 1}][{i}]", kind=BINARY,
                                    lower=0.0, upper=1.0)
             _neuron_row(model, y, s, lay.weights[i], prev, lay.bias[i],
                         tag=f"{prefix}relu[{li + 1}][{i}]")
@@ -161,8 +160,7 @@ def encode_mip(model: Model, net: Network, input_vars, bounds: BigMBounds,
         if nid not in bounds.my or nid not in bounds.ms:
             raise ValueError(f"missing bounds for neuron {nid}")
     neuron_vars, prev = _encode_hidden_mip(
-        model, net, input_vars, bounds, prefix, len(net.hidden_layers), relax=False
-    )
+        model, net, input_vars, bounds, prefix, len(net.hidden_layers))
     outs = _encode_output(model, net, prev, prefix)
     return EmbeddingHandles(list(input_vars), outs, neuron_vars)
 
@@ -249,8 +247,7 @@ def tighten_bounds(net: Network, box, mode: str = LP_RELAX,
         lay = net.hidden_layers[li]
         model = Model()
         inputs = _embed_inputs(model, box, prefix="")
-        _, prev = _encode_hidden_mip(model, net, inputs, tightened, "", li,
-                                     relax=(mode == LP_RELAX))
+        _, prev = _encode_hidden_mip(model, net, inputs, tightened, "", li)
         # layer barrier: this layer's subproblems see only the bounds of the
         # layers above it, all committed before its model was built
         sf = standard_form(model) if mode == LP_RELAX else None

@@ -34,9 +34,10 @@ from .nn import (
     sign_partition,
     validate_pattern,
 )
+from .solvers.embedded import min_norm_point
 from .solvers.pattern import ENUMERATION_CAP, _apply_branch, _gather_neurons, branch_descent
 from .solvers.result import SolverError
-from .solvers.simplex import StandardFormLP, solve_standard_form, standard_form
+from .solvers.simplex import solve_standard_form, standard_form
 
 DEFAULT_SLACK = 1e-6
 RANK_TOL = 1e-8
@@ -83,6 +84,14 @@ def region_inequalities(net: Network, pattern) -> RegionInequalities:
     return RegionInequalities(tuple(rows))
 
 
+def _input_model(n, box):
+    """A model holding only the inputs x[0..n), free or inside ``box``; returns (model, xs)."""
+    model = Model()
+    lo, hi = box if box is not None else (np.full(n, -np.inf), np.full(n, np.inf))
+    return model, [model.add_variable(f"x[{j}]", lower=float(lo[j]), upper=float(hi[j]))
+                   for j in range(n)]
+
+
 def _strict_system_lp(rows, n, slack, box=None):
     """LP ``max t`` s.t. sign*(normal.x + offset) >= t, slack <= t <= max(1, slack).
 
@@ -90,32 +99,15 @@ def _strict_system_lp(rows, n, slack, box=None):
     solution is a well-centered witness.  Returns None when infeasible and
     raises ``SolverError`` when the LP ends undecided.
     """
-    m = len(rows)
-    ntot = n + 1
-    A = np.zeros((m, ntot))
-    b = np.empty(m)
-    for r, (normal, offset, positive) in enumerate(rows):
+    model, xs = _input_model(n, box)
+    t = model.add_variable("t", lower=slack, upper=max(1.0, slack))
+    for normal, offset, positive in rows:
         s = 1.0 if positive else -1.0
-        A[r, :n] = s * np.asarray(normal)
-        A[r, n] = -1.0
-        b[r] = -s * offset
-    lower = np.full(ntot, -np.inf)
-    upper = np.full(ntot, np.inf)
-    if box is not None:
-        lower[:n], upper[:n] = box
-    lower[n] = slack
-    upper[n] = max(1.0, slack)
-    c = np.zeros(ntot)
-    c[n] = -1.0  # maximize the margin
-    # rows are >=: append one surplus column per row (bounds (-inf, 0])
-    m_A = np.hstack([A, np.eye(m)])
-    sf = StandardFormLP(
-        A=m_A, b=b, c=np.concatenate([c, np.zeros(m)]), c0=0.0,
-        lower=np.concatenate([lower, np.full(m, -np.inf)]),
-        upper=np.concatenate([upper, np.zeros(m)]),
-        slack_col=np.arange(ntot, ntot + m), sign=1.0,
-    )
-    out = solve_standard_form(sf)
+        terms = {x: s * float(a) for x, a in zip(xs, normal)}
+        terms[t] = -1.0
+        model.add_constraint(terms, ">=", -s * offset)
+    model.set_objective("max", {t: 1.0})  # the margin
+    out = solve_standard_form(standard_form(model))
     if out.status == "infeasible":
         return None
     if out.status != "optimal":  # t is capped, so only the iteration limit gets here
@@ -137,11 +129,7 @@ def _nonempty_patterns(net: Network, slack, search, active=frozenset(), box=None
     """``active`` joined with each subset of the neurons in ``search`` whose
     region admits margin ``slack``, in descent order, with the inputs free or
     inside ``box``.  The other neurons keep their side: active if in ``active``."""
-    model = Model()
-    n = net.input_dim
-    lo, hi = box if box is not None else (np.full(n, -np.inf), np.full(n, np.inf))
-    xs = [model.add_variable(f"x[{j}]", lower=float(lo[j]), upper=float(hi[j]))
-          for j in range(n)]
+    model, xs = _input_model(net.input_dim, box)
     neurons = _gather_neurons(encode_mpcc(model, net, xs))
     sf = standard_form(model)
     for neuron in neurons:
@@ -228,37 +216,17 @@ def hull_contains_zero(hull: GeneralizedJacobianHull, target_rows,
                        tol: float = 1e-8):
     """Does 0 lie in the convex hull of the supplied per-vertex vectors?
 
-    Solves min sum|residual| over convex weights theta; returns
-    (contained, theta, residual).  ``target_rows`` carries one vector per hull
-    vertex (e.g. the composed gradient of that vertex).
+    Finds the hull's point of least Euclidean norm by Wolfe's algorithm,
+    ``min_norm_point``; returns (contained, theta, residual) with theta its
+    convex weights and residual its norm.  ``target_rows`` carries one vector
+    per hull vertex (e.g. the composed gradient of that vertex).
     """
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in target_rows]
     if not vecs:
         raise ValueError("hull must be nonempty")
     if len(vecs) != len(hull.vertices):
         raise ValueError("one target row per hull vertex expected")
-    nv = len(vecs)
-    n = vecs[0].shape[0]
-    # columns: theta (nv), e+ (n), e- (n)
-    ntot = nv + 2 * n
-    A = np.zeros((n + 1, ntot))
-    for k, v in enumerate(vecs):
-        A[:n, k] = v
-    A[:n, nv:nv + n] = np.eye(n)
-    A[:n, nv + n:] = -np.eye(n)
-    A[n, :nv] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    c = np.zeros(ntot)
-    c[nv:] = 1.0
-    lower = np.zeros(ntot)
-    upper = np.concatenate([np.ones(nv), np.full(2 * n, np.inf)])
-    sf = StandardFormLP(A=A, b=b, c=c, c0=0.0, lower=lower, upper=upper,
-                        slack_col=np.full(n + 1, -1, dtype=int), sign=1.0)
-    out = solve_standard_form(sf)
-    if out.status != "optimal":  # pragma: no cover - always feasible by construction
-        raise RuntimeError("hull membership LP failed")
-    residual = max(0.0, float(out.obj))
-    if residual <= tol:
-        return True, out.x[:nv].copy(), residual
-    return False, None, residual
+    z, theta = min_norm_point(np.array(vecs))
+    residual = float(np.linalg.norm(z))
+    contained = residual <= tol
+    return contained, theta if contained else None, residual

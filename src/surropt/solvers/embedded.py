@@ -37,7 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,9 +62,6 @@ NONMONOTONE_MEMORY = 5
 KINK_RADIUS = 1e-6
 KINK_CAP = 6
 MNP_TOL = 1e-12  # optimality and weight tolerance of min_norm_point
-# Frank-Wolfe gap and step budget of one projection onto a PolytopeRegion
-PROJECTION_GAP_TOL = 1e-9
-PROJECTION_MAX_ITER = 5000
 
 log = logging.getLogger(__name__)
 
@@ -105,43 +102,56 @@ class BoxRegion:
 
 
 class PolytopeRegion:
-    """Input region {x: A x <= b, lower <= x <= upper}; projection by Frank-Wolfe."""
+    """Input region {x: A x <= b, lower <= x <= upper} with exact projection."""
 
     def __init__(self, A, b, lower, upper):
-        from ..model import Model
-        from .simplex import standard_form
-
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float).reshape(-1)
         self.lower = np.asarray(lower, dtype=float).reshape(-1)
         self.upper = np.asarray(upper, dtype=float).reshape(-1)
-        n = self.lower.shape[0]
-        mdl = Model()
-        ids = [mdl.add_variable(f"x[{j}]", lower=self.lower[j], upper=self.upper[j])
-               for j in range(n)]
-        for r in range(self.A.shape[0]):
-            mdl.add_constraint({ids[j]: float(self.A[r, j]) for j in range(n)
-                                if self.A[r, j] != 0.0}, "<=", float(self.b[r]))
-        self._sf = standard_form(mdl)
-        self._n = n
+        n = self._n = self.lower.shape[0]
+        if self.upper.shape != (n,) or self.A.shape != (self.b.shape[0], n):
+            raise ValueError("A must be m x n, b of length m, lower and upper of length n")
+        if np.any(self.lower > self.upper):
+            raise ValueError("region lower bounds exceed upper bounds")
+        if not np.isfinite(np.column_stack([self.A, self.b])).all():
+            raise ValueError("A and b must be finite")
+        # G x <= h: the rows of A and the finite box faces, each nonzero row
+        # scaled so that G p - h is p's signed distance to its face
+        up, lo = np.isfinite(self.upper), np.isfinite(self.lower)
+        G = np.vstack([self.A, np.eye(n)[up], -np.eye(n)[lo]])
+        h = np.concatenate([self.b, self.upper[up], -self.lower[lo]])
+        norm = np.linalg.norm(G, axis=1)
+        norm[norm == 0.0] = 1.0
+        self._G, self._h = G / norm[:, None], h / norm
 
     @property
     def dim(self):
         return self._n
 
     def project(self, p):
-        from .frank_wolfe import solve_relaxation
+        """Nearest point to p, by the least-distance program min |x - p| s.t.
+        G x <= h as one NNLS (Lawson & Hanson 1974, ch. 23): u >= 0 minimizes
+        |E u - e| for E = [-G^T; (G p - h)^T / s] and the last unit vector e,
+        with s the larger of 1 and p's largest distance past a face.  Then
+        r = E u - e gives x = p - s r[:n] / r[n]; |r|^2 = -r[n] at or below
+        the simplex's feasibility tolerance means the region is empty."""
+        # imported here, not at module level, so that `import surropt` loads no scipy
+        from scipy.optimize import nnls
+
+        from .simplex import FEAS_TOL
 
         p = np.asarray(p, dtype=float).reshape(-1)
-        sf = self._sf
-        c = np.zeros(sf.A.shape[1])
-        c[: self._n] = -2.0 * p
-        quad = tuple((j, j, 1.0) for j in range(self._n))
-        out = solve_relaxation(replace(sf, c=c, c0=float(p @ p), sign=1.0, quad=quad),
-                               tol=PROJECTION_GAP_TOL, max_iter=PROJECTION_MAX_ITER)
-        if out.status != "optimal":
-            raise ValueError(f"projection onto the region failed: its LP is {out.status}")
-        return out.x[: self._n].copy()
+        if not self._h.size:
+            return p.copy()
+        d = self._G @ p - self._h
+        s = max(1.0, float(d.max()))
+        E = np.vstack([-self._G.T, d / s])
+        e = np.eye(self._n + 1)[-1]
+        r = E @ nnls(E, e)[0] - e
+        if -r[-1] <= FEAS_TOL:
+            raise ValueError("projection onto the region failed: the region is empty")
+        return p - s * r[:-1] / r[-1]
 
 
 def min_norm_point(P):

@@ -48,12 +48,11 @@ def _quad_grad(quad, x, out):
 
 
 def solve_relaxation(sf, lower=None, upper=None, tol=DEFAULT_TOL,
-                     max_iter=DEFAULT_MAX_ITER, start=None, basis=None,
-                     deadline=None) -> Relaxation:
+                     max_iter=DEFAULT_MAX_ITER, basis=None, deadline=None) -> Relaxation:
     """Minimize ``sf.c`` plus the quadratic terms ``sf.quad`` over the polytope.
 
     A linear objective is one simplex solve.  A quadratic one runs Frank-Wolfe
-    from ``start`` (else a feasible vertex) until the gap is at most ``tol`` or
+    from a feasible vertex until the gap is at most ``tol`` or
     ``max_iter`` steps are spent; an LP that hits its limit, or passing the
     ``time.monotonic()`` instant ``deadline``, ends it as "limit".  The first
     simplex solve starts from ``basis`` (a ``Relaxation.basis`` of the same
@@ -65,15 +64,11 @@ def solve_relaxation(sf, lower=None, upper=None, tol=DEFAULT_TOL,
             return Relaxation(out.status, None, math.inf, 0.0, out)
         return Relaxation("optimal", out.x, out.obj, 0.0, out, out.basis)
     ntot = sf.A.shape[1]
-    if start is None:
-        feas = solve_standard_form(sf, c_min=np.zeros(ntot), lower=lower, upper=upper,
-                                   basis=basis)
-        if feas.status != "optimal":
-            return Relaxation(feas.status, None, math.inf, 0.0, None)
-        x = feas.x.copy()
-        basis = feas.basis
-    else:
-        x = np.asarray(start, dtype=float).copy()
+    feas = solve_standard_form(sf, c_min=np.zeros(ntot), lower=lower, upper=upper,
+                               basis=basis)
+    if feas.status != "optimal":
+        return Relaxation(feas.status, None, math.inf, 0.0, None)
+    x, basis = feas.x, feas.basis  # x is rebound, never written in place
     g = np.zeros(ntot)
     gap = math.inf
     for _ in range(max_iter):
@@ -112,7 +107,7 @@ def relaxation_result(model: Model, sf, rel: Relaxation, tol: float) -> SolveRes
 
 
 def qp_frank_wolfe(model: Model, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER, start=None) -> SolveResult:
+                   max_iter: int = DEFAULT_MAX_ITER) -> SolveResult:
     """Minimize a convex linear+quadratic objective over the model's polyhedron.
 
     Terminates when the Frank-Wolfe duality gap drops below ``tol``; the gap
@@ -123,16 +118,5 @@ def qp_frank_wolfe(model: Model, tol: float = DEFAULT_TOL,
     if model.complementarities:
         raise ValueError("qp_frank_wolfe does not accept complementarity pairs")
     sf = standard_form(model)
-    start_full = None
-    if start is not None:
-        arr = model.point_array(start)
-        if model.max_violation(arr) > 1e-7:
-            raise ValueError("start point violates the model constraints")
-        # complete with slack values so the equality system holds
-        start_full = np.zeros(sf.A.shape[1])
-        start_full[: model.num_variables] = arr
-        for r, col in enumerate(sf.slack_col):
-            if col >= 0:
-                start_full[col] = sf.b[r] - sf.A[r, : model.num_variables] @ arr
-    rel = solve_relaxation(sf, tol=tol, max_iter=max_iter, start=start_full)
+    rel = solve_relaxation(sf, tol=tol, max_iter=max_iter)
     return relaxation_result(model, sf, rel, tol)

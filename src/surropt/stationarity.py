@@ -68,8 +68,8 @@ def _eval_gradients(f, c, x, y, mu):
 
 def _estimate_mu(net, x, y, f, c, act_tol=ACTIVE_TOL):
     """Nonnegative least squares on the composed chain, inactive rows pinned to 0."""
-    # scipy.optimize is imported here, not at module level: it is the only
-    # scipy use in the package and costs more than the rest of `import surropt`.
+    # scipy.optimize is imported here, as in PolytopeRegion.project, not at
+    # module level: it costs more than the rest of `import surropt`.
     from scipy.optimize import nnls
 
     from .nn import affine_piece, sign_partition
@@ -125,8 +125,9 @@ def check_embedded_stationarity(net: Network, x_star, f, c=None, mu=None,
 
     Feasibility and complementary slackness are checked directly; the gradient
     condition asks for convex weights over the neighboring-region composed
-    gradients summing to zero, decided by LP.  A failed general-position check
-    only flags the certificate (the hull is still what it is).
+    gradients summing to zero, decided by the hull's least-norm point (its
+    norm is the ``gradient`` residual).  A failed general-position check only
+    flags the certificate (the hull is still what it is).
     """
     if not net.is_pure_relu():
         raise ValueError("embedded stationarity checks require pure-ReLU nets")
