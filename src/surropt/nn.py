@@ -59,7 +59,7 @@ class Activation:
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # overflow-safe logistic
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def activation_scalar(act: Activation, a: float) -> float:

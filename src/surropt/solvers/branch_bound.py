@@ -112,7 +112,7 @@ def milp_solve(model: Model, warmstart=None, max_nodes: int = 100000,
                 if log.isEnabledFor(logging.INFO):
                     _log_progress(sign, val, [lost_bound], nodes, explored)
             continue
-        j = int(bin_ids[np.argmin(np.abs(frac - 0.5))])
+        j = int(bin_ids[np.abs(frac - 0.5).argmin()])
         parked = basis and basis[:2]
         for branch_val in (0.0, 1.0):
             lo2, up2 = lo.copy(), up.copy()

@@ -84,21 +84,34 @@ class SmoothConstraints:
     jac_y: Callable
 
 
+def _bounds(lower, upper):
+    """Lower and upper bounds as flat float arrays of one length, neither NaN
+    (infinite allowed) and lower <= upper."""
+    lower = np.asarray(lower, dtype=float).reshape(-1)
+    upper = np.asarray(upper, dtype=float).reshape(-1)
+    if lower.shape != upper.shape:
+        raise ValueError("lower and upper bounds must have the same length")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("bounds must not be NaN")
+    if (lower > upper).any():
+        raise ValueError("lower bounds exceed upper bounds")
+    return lower, upper
+
+
 class BoxRegion:
     """Axis-aligned input region with exact projection."""
 
     def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float).reshape(-1)
-        self.upper = np.asarray(upper, dtype=float).reshape(-1)
-        if np.any(self.lower > self.upper):
-            raise ValueError("box lower bounds exceed upper bounds")
+        self.lower, self.upper = _bounds(lower, upper)
 
     @property
     def dim(self):
         return self.lower.shape[0]
 
     def project(self, p):
-        return np.clip(p, self.lower, self.upper)
+        # np.clip(p, lower, upper) bit for bit, signed zeros, NaN and inf
+        # included, in this argument order only (see embedded_solve's loop)
+        return np.minimum(np.maximum(p, self.lower), self.upper)
 
 
 class PolytopeRegion:
@@ -107,13 +120,10 @@ class PolytopeRegion:
     def __init__(self, A, b, lower, upper):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float).reshape(-1)
-        self.lower = np.asarray(lower, dtype=float).reshape(-1)
-        self.upper = np.asarray(upper, dtype=float).reshape(-1)
+        self.lower, self.upper = _bounds(lower, upper)
         n = self._n = self.lower.shape[0]
-        if self.upper.shape != (n,) or self.A.shape != (self.b.shape[0], n):
+        if self.A.shape != (self.b.shape[0], n):
             raise ValueError("A must be m x n, b of length m, lower and upper of length n")
-        if np.any(self.lower > self.upper):
-            raise ValueError("region lower bounds exceed upper bounds")
         if not np.isfinite(np.column_stack([self.A, self.b])).all():
             raise ValueError("A and b must be finite")
         # G x <= h: the rows of A and the finite box faces, each nonzero row
@@ -165,12 +175,12 @@ def min_norm_point(P):
     """
     P = np.asarray(P, dtype=float)
     sq = np.einsum("ij,ij->i", P, P)
-    S = [int(np.argmin(sq))]
+    S = [int(sq.argmin())]
     lam = np.ones(1)
     z = P[S[0]]
     while True:
         dots = P @ z
-        j = int(np.argmin(dots))
+        j = int(dots.argmin())
         if float(z @ z) - dots[j] <= MNP_TOL * sq.max() or j in S:
             break
         S.append(j)
@@ -179,7 +189,7 @@ def min_norm_point(P):
             Q = P[S]
             b = np.linalg.lstsq((Q[1:] - Q[0]).T, -Q[0], rcond=None)[0]
             a = np.concatenate(([1.0 - b.sum()], b))
-            if np.all(a > MNP_TOL):
+            if (a > MNP_TOL).all():
                 lam = a
                 break
             neg = a <= MNP_TOL
@@ -211,7 +221,7 @@ def _kink_pieces(net: Network, preacts, gx, gy):
     hidden = preacts[:-1]
     if all(np.abs(a).min() > KINK_RADIUS for a in hidden):
         return None
-    near = [np.flatnonzero(np.abs(a) <= KINK_RADIUS) for a in hidden]
+    near = [(np.abs(a) <= KINK_RADIUS).nonzero()[0] for a in hidden]
     k = sum(ix.size for ix in near)
     if k > KINK_CAP:
         return None
@@ -245,7 +255,10 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     n = region.dim
     if n != net.input_dim:
         raise ValueError("region dimension must match the network input")
-    x = region.project(np.zeros(n) if start is None else np.asarray(start, float))
+    start = np.zeros(n) if start is None else np.asarray(start, float).reshape(-1)
+    if start.shape != (n,):
+        raise ValueError(f"start must hold {n} entries, one per input, not {start.size}")
+    x = region.project(start)
 
     def cvals(x, y):
         if constraints is None:
@@ -253,6 +266,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         return np.asarray(constraints.value(y, x), dtype=float).reshape(-1)
 
     lam = np.zeros(cvals(x, forward(net, x)).shape[0])
+    lam_sq = lam @ lam  # taken anew whenever lam moves
     rho = 10.0
     pure_relu = net.is_pure_relu()
 
@@ -261,7 +275,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         c = cvals(x, y)
         w = np.maximum(0.0, lam + rho * c)
         fval = float(objective.value(y, x))
-        alval = fval + float(w @ w - lam @ lam) / (2.0 * rho) if c.size else fval
+        alval = fval + float(w @ w - lam_sq) / (2.0 * rho) if c.size else fval
         return y, preacts, c, w, fval, alval
 
     def al_grad(x, parts):
@@ -296,6 +310,12 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     monotone = lam.size > 0
     primal = dual = math.inf
     here = None  # (al_parts(x), its gradient, kink), valid while lam and rho hold
+    # Each iteration works on vectors of a few dozen entries, where numpy's
+    # Python-level wrappers (np.clip, np.any, np.argmin) cost 1-3 us per call,
+    # more than the work they wrap; the loop calls ndarray methods and ufuncs
+    # that return the same bits.  For the projection that takes one order:
+    # BoxRegion.project's minimum(maximum(p, lower), upper) equals np.clip,
+    # while minimum(upper, maximum(lower, p)) gives +0.0 for its -0.0.
     while it < max_iter:
         if here is None:
             parts = al_parts(x)
@@ -304,7 +324,8 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             recent = deque([parts[-1]], maxlen=NONMONOTONE_MEMORY)
             best = x, here  # this inner solve's lowest AL value so far
         (_, _, c, w, fval, alval), g, kink = here
-        primal = float(np.maximum(c, 0.0).max(initial=0.0))
+        # max(0, max c); + 0.0 turns a -0.0 maximum into the 0.0 np.maximum gives
+        primal = float(c.max(initial=0.0)) + 0.0
         dual = measure(x, g)
         traces.append(TraceRecord(it, fval, primal, dual))
         it += 1
@@ -342,6 +363,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
                 monotone = False
                 if lam_moved:
                     lam = w
+                    lam_sq = lam @ lam
                     primal_target = max(tol / 10.0, primal_target * 0.5)
                 else:
                     rho = min(rho * 10.0, RHO_MAX)
@@ -365,7 +387,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         for _ in range(40):
             x_try = region.project(x - step * d)
             s = x_try - x
-            if np.abs(s).max(initial=0.0) <= 0.0:
+            if not s.any():
                 break
             parts = al_parts(x_try)
             if parts[-1] <= ref + 1e-4 * float(d @ s):
@@ -391,7 +413,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         if here is not None and best[1][0][-1] < here[0][-1]:
             x, here = best
             (_, _, c, _, _, _), g, kink = here
-            primal = float(np.maximum(c, 0.0).max(initial=0.0))
+            primal = float(c.max(initial=0.0)) + 0.0
             dual = measure(x, g if kink is None else kink[0])
 
     y = forward(net, x)

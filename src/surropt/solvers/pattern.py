@@ -72,7 +72,7 @@ def _apply_branch(lower, upper, neuron, active, margin=0.0):
 
 
 def _point_satisfies(x, lower, upper, tol=1e-9):
-    return bool(np.all(x >= lower - tol) and np.all(x <= upper + tol))
+    return bool((x >= lower - tol).all() and (x <= upper + tol).all())
 
 
 def _cap_pairs(sf, neurons):
@@ -82,11 +82,11 @@ def _cap_pairs(sf, neurons):
     assignment satisfies the caps, so no leaf's feasible set changes."""
     A, lower, upper = sf.A, sf.lower, sf.upper
     for _, y, s, _ in neurons:
-        rows = np.flatnonzero((A[:, y] != 0.0) & (A[:, s] == -A[:, y]) & (sf.slack_col < 0))
+        rows = ((A[:, y] != 0.0) & (A[:, s] == -A[:, y]) & (sf.slack_col < 0)).nonzero()[0]
         if not rows.size:
             continue
         row = A[rows[0]]
-        others = np.flatnonzero(row)
+        others = row.nonzero()[0]
         others = others[(others != y) & (others != s)]
         w = -row[others] / row[y]  # a = b / A[r, y] + w . x_others
         base = sf.b[rows[0]] / row[y]

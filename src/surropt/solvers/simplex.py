@@ -131,6 +131,10 @@ class SimplexOut:
 
 
 class _Tableau:
+    # The pivot loops work on vectors of a few to a few dozen entries, where
+    # numpy's Python-level wrappers (np.argmax, np.flatnonzero, np.any) cost
+    # 1-3 us per call, more than the work they wrap; the loops call the
+    # ndarray methods and ufuncs instead, which return the same bits.
     def __init__(self, A, b, lower, upper, slack_col, start=None):
         self.m = A.shape[0]
         self.A, self.b = A, b
@@ -193,7 +197,7 @@ class _Tableau:
                 x[j] = val
             basis[i] = j
             state[j] = BASIC
-        art = np.flatnonzero(basis < 0)
+        art = (basis < 0).nonzero()[0]
         if art.size:
             E = np.zeros((m, art.size))
             E[art, np.arange(art.size)] = np.where(resid[art] >= 0, 1.0, -1.0)
@@ -293,10 +297,10 @@ class _Tableau:
             st, up_ok, dn_ok = self.state, self.can_rise, self.can_fall
             score = np.maximum(np.where(up_ok, -d, -INF), np.where(dn_ok, d, -INF))
             if self.bland:
-                eligible = np.flatnonzero(score > OPT_TOL)
+                eligible = (score > OPT_TOL).nonzero()[0]
                 q = int(eligible[0]) if eligible.size else -1
             else:
-                q = int(np.argmax(score))
+                q = int(score.argmax())
                 if score[q] <= OPT_TOL:
                     q = -1
             if q < 0:
@@ -340,11 +344,11 @@ class _Tableau:
                 # bound flip, basis unchanged
                 self._set_state(q, AT_UPPER if st[q] == AT_LOWER else AT_LOWER)
                 continue
-            ties = np.flatnonzero(ratios <= t_basic + 1e-12)
+            ties = (ratios <= t_basic + 1e-12).nonzero()[0]
             if self.bland:
-                k = int(ties[np.argmin(self.basis[ties])])
+                k = int(ties[self.basis[ties].argmin()])
             else:
-                k = int(ties[np.argmax(np.abs(u[ties]))])
+                k = int(ties[np.abs(u[ties]).argmax()])
             leave = self.basis[k]
             self.x[leave] = self.lower[leave] if denom[k] > 0 else self.upper[leave]
             self._set_state(leave, AT_LOWER if denom[k] > 0 else AT_UPPER)
@@ -372,7 +376,7 @@ class _Tableau:
             below = self.lower[self.basis] - xb
             above = xb - self.upper[self.basis]
             viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             if viol[r] <= feas_tol:
                 break
             if self.iterations >= maxiter:
@@ -383,7 +387,7 @@ class _Tableau:
             # entering candidates: moving in their allowed direction pushes row r
             # toward its bound; each may move until its reduced cost reaches 0
             rise = self.can_rise & (alpha < -PIV_TOL)
-            elig = np.flatnonzero(rise | (self.can_fall & (alpha > PIV_TOL)))
+            elig = (rise | (self.can_fall & (alpha > PIV_TOL))).nonzero()[0]
             if not elig.size:
                 if self._refresh():
                     continue
@@ -392,10 +396,10 @@ class _Tableau:
             if priced:
                 d = c - (c[self.basis] @ self.Binv) @ self.A
                 dj = np.maximum(np.where(rise[elig], d[elig], -d[elig]), 0.0)
-                near = np.flatnonzero(dj / aj <= ((dj + OPT_TOL) / aj).min())
-                q = int(elig[near[np.argmax(aj[near])]])
+                near = (dj / aj <= ((dj + OPT_TOL) / aj).min()).nonzero()[0]
+                q = int(elig[near[aj[near].argmax()]])
             else:
-                q = int(elig[np.argmax(aj)])
+                q = int(elig[aj.argmax()])
             u = self.Binv @ self.A[:, q]
             if not np.isfinite(u).all() or abs(u[r]) <= PIV_TOL:
                 if self._refresh():
@@ -419,11 +423,11 @@ class _Tableau:
         an artificial whose row has none stays, its row being redundant."""
         if self.ntot == n:
             return
-        for k in np.flatnonzero(self.basis >= n):
+        for k in (self.basis >= n).nonzero()[0]:
             row = self.Binv[k] @ self.A[:, :n]
-            candidates = np.flatnonzero((np.abs(row) > 1e-7) & (self.state[:n] != BASIC))
+            candidates = ((np.abs(row) > 1e-7) & (self.state[:n] != BASIC)).nonzero()[0]
             if candidates.size:
-                enter = int(candidates[np.argmax(np.abs(row[candidates]))])
+                enter = int(candidates[np.abs(row[candidates]).argmax()])
                 self._set_state(self.basis[k], AT_LOWER)
                 self.x[self.basis[k]] = 0.0
                 self._stale = True
@@ -441,7 +445,7 @@ def solve_standard_form(sf: StandardFormLP, c_min=None, lower=None, upper=None,
     c_struct = sf.c if c_min is None else np.asarray(c_min, dtype=float)
     lo = sf.lower if lower is None else np.asarray(lower, dtype=float)
     up = sf.upper if upper is None else np.asarray(upper, dtype=float)
-    if np.any(lo > up):
+    if (lo > up).any():
         x = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
         return SimplexOut("infeasible", x, math.nan, np.zeros(sf.A.shape[0]),
                           np.zeros(sf.A.shape[1]), 0)

@@ -7,6 +7,17 @@ LIN = Activation("linear")
 RELU = Activation("relu")
 
 
+def assert_same_bits(got, want):
+    """Equal shapes, NaN positions, sign bits and values: what comparing the
+    raw bits asks, NaN payloads aside."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(got[~nan], want[~nan])
+
+
 def single_neuron_net(w=1.0, b=-1.0, out_w=1.0, out_b=0.0) -> Network:
     """1 -> 1 hidden ReLU -> 1 affine output."""
     return Network((Layer([[w]], [b], RELU), Layer([[out_w]], [out_b], LIN)))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surropt.nn import (
@@ -34,7 +34,7 @@ from surropt.solvers.embedded import (
 )
 from surropt.solvers.result import Status
 
-from conftest import LIN, RELU, absolute_value_net
+from conftest import LIN, RELU, absolute_value_net, assert_same_bits
 
 
 def linear_net(slope=1.0):
@@ -492,3 +492,40 @@ def test_constrained_line_search_is_monotone_until_the_first_update(seed, value)
     assert res.status is Status.STALLED
     assert trace[-1].primal_infeasibility <= embedded.DEFAULT_TOL
     assert res.objective == pytest.approx(value, rel=1e-9)
+
+
+# --- input validation and the projection kernel ---
+
+# floats with the edge cases drawn often: signed zeros, infinities, NaN
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]), st.floats())
+EDGE_BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf]), st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *(st.lists(s, min_size=n, max_size=n) for s in (EDGE_FLOATS, EDGE_BOUNDS, EDGE_BOUNDS)))))
+@example(([-0.0], [0.0], [1.0]))  # np.clip's +0.0, which the swapped min/max order loses
+def test_box_projection_is_np_clip_bit_for_bit(draw):
+    p, a, b = (np.array(v) for v in draw)
+    lower, upper = np.where(a <= b, a, b), np.where(a <= b, b, a)
+    assert_same_bits(BoxRegion(lower, upper).project(p), np.clip(p, lower, upper))
+
+
+def test_box_region_rejects_bounds_of_different_lengths():
+    with pytest.raises(ValueError, match="same length"):
+        BoxRegion([0.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("lower, upper", [([0.0, np.nan], [1.0, 1.0]),
+                                          ([0.0, 0.0], [np.nan, 1.0])])
+def test_box_region_rejects_nan_bounds(lower, upper):
+    with pytest.raises(ValueError, match="NaN"):
+        BoxRegion(lower, upper)
+
+
+def test_start_of_the_wrong_length_is_rejected():
+    net = random_network(np.random.default_rng(0), [3, 4, 1])
+    obj = SmoothObjective(value=lambda y, x: float(y[0]), grad_x=lambda y, x: np.zeros(3),
+                          grad_y=lambda y, x: np.ones(1))
+    with pytest.raises(ValueError, match="start must hold 3 entries"):
+        embedded_solve(net, obj, BoxRegion(-np.ones(3), np.ones(3)), start=[0.5])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surropt.nn import (
+    _sigmoid,
     Activation,
     DegeneratePointError,
     Layer,
@@ -18,7 +21,7 @@ from surropt.nn import (
     slope_jacobian,
 )
 
-from conftest import LIN, RELU, identity_net, single_neuron_net, zero_bias_counterexample, three_neuron_net
+from conftest import LIN, RELU, assert_same_bits, identity_net, single_neuron_net, zero_bias_counterexample, three_neuron_net
 
 
 def test_forward_zero_bias_cancellation():
@@ -239,3 +242,26 @@ def test_batched_slope_jacobian_stacks_the_per_piece_calls():
         for p in range(7):
             pattern = {NeuronId(li, i) for li, m in enumerate(masks) for i in np.flatnonzero(m[p])}
             assert np.array_equal(slope_jacobian(net, masks)[p], affine_piece(net, pattern)[0])
+
+
+def two_branch_sigmoid(t):
+    """The logistic as written before its single division: both branches
+    divided out, then the one of t's sign picked."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1 / (1 + e), e / (1 + e))
+
+
+# signed zeros, NaN, subnormals and |t| >= 710, where exp(-|t|) underflows
+SIGMOID_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 710.0, -710.0]),
+    st.floats(min_value=710.0, max_value=1e308), st.floats(min_value=-1e308, max_value=-710.0),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SIGMOID_EDGES, min_size=1, max_size=40))
+def test_sigmoid_single_division_matches_the_two_branch_form(ts):
+    t = np.array(ts)
+    assert_same_bits(_sigmoid(t), two_branch_sigmoid(t))
+    assert_same_bits(_sigmoid(t[0]), two_branch_sigmoid(t[0]))
