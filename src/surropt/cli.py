@@ -68,9 +68,21 @@ def _build_problem(bundle, formulation, tighten, bounds_path):
     return build_oilwell(bundle.spec, formulation)
 
 
+def _json_safe(value):
+    """The payload with every NaN or infinite float replaced by None (null),
+    which strict JSON readers accept."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _emit(args, payload, human):
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_json_safe(payload), indent=2, allow_nan=False))
     else:
         for line in human:
             print(line)
@@ -178,6 +190,9 @@ def _auto_warmstart(bundle, model, handles):
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     trace_records = None
+    if args.warmstart and (args.model or args.solver not in ("milp", "mpcc-local")):
+        raise SystemExit("--warmstart applies to --solver milp and mpcc-local "
+                         "on --problem")
     if args.model:
         model = sio.import_lp(args.model)
         if args.solver not in ("milp", "lp"):
@@ -237,11 +252,11 @@ def cmd_solve(args) -> int:
         sio.write_trace(trace_records, args.trace)
     payload = {
         "status": res.status.value,
-        "objective": None if math.isnan(res.objective) else res.objective,
-        "best_bound": None if math.isnan(res.best_bound) else res.best_bound,
+        "objective": res.objective,
+        "best_bound": res.best_bound,
         "iterations": res.iterations,
         "nodes": res.nodes,
-        "kkt_residual": None if math.isnan(res.kkt_residual) else res.kkt_residual,
+        "kkt_residual": res.kkt_residual,
         "seconds": round(elapsed, 6),
     }
     _emit(args, payload, [
@@ -370,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--tighten", choices=list(TIGHTEN_MODES), default="lp")
     ps.add_argument("--solver", required=True,
                     choices=["milp", "mpcc-local", "embedded", "oracle"])
-    ps.add_argument("--warmstart", help="'auto' or a JSON point file")
+    ps.add_argument("--warmstart", help="'auto' or a JSON point file "
+                    "(--solver milp and mpcc-local on --problem)")
     ps.add_argument("--trace", help="CSV path for embedded-solver traces")
     ps.add_argument("--max-nodes", type=int, default=100000)
     ps.add_argument("--max-iter", type=int, default=3000)

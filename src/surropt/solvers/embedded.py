@@ -5,11 +5,14 @@ inner solves are spectral projected gradient (Birgin, Martinez & Raydan 2000):
 Barzilai-Borwein steps over the input region, each accepted by an Armijo test
 against the largest augmented-Lagrangian value of the last NONMONOTONE_MEMORY
 accepted iterates (Grippo, Lampariello & Lucidi 1986), a memory that restarts
-at every multiplier or penalty update.  A constrained solve tests against the
-current value alone until its first update, and a run that exhausts its
-budget returns the lowest point of its last inner solve.  The gradient g of
-the augmented Lagrangian uses the network Jacobian with every ReLU neuron
-within KINK_TOL of its kink inactive (``nn.preactivation_jacobian``, bound
+at every multiplier or penalty update.  A solve's first step is SPG's initial
+step 1 / |x - P(x - g)|_inf; a multiplier update keeps the current spectral
+step, while a penalty raise, or an update that follows a failed line search,
+starts the step again from that rule at the current point.  A constrained
+solve tests against the current value alone until its first update, and a
+run that exhausts its budget returns the lowest point of its last inner
+solve.  The gradient g of the augmented Lagrangian uses the network Jacobian
+with every ReLU neuron within KINK_TOL of its kink inactive (``nn.preactivation_jacobian``, bound
 here as ``_dnn_jacobian``), and the trace's dual infeasibility is
 ``|x - P(x - g)|``, so at a kink optimum of a ReLU net that column never
 vanishes while a smooth net's does.
@@ -252,6 +255,10 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     changes, is Stalled if primal-feasible and LimitReached otherwise; at
     the budget it returns the lowest point of its last inner solve.
     """
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, not {tol!r}")
     n = region.dim
     if n != net.input_dim:
         raise ValueError("region dimension must match the network input")
@@ -299,7 +306,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
 
     traces = []
     it = 0
-    alpha = 1.0
+    restart = True  # the next step is SPG's initial one, set from the trace's dual
     inner_target = 1e-2
     primal_target = 0.1
     converged = False
@@ -328,6 +335,10 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         primal = float(c.max(initial=0.0)) + 0.0
         dual = measure(x, g)
         traces.append(TraceRecord(it, fval, primal, dual))
+        if restart:
+            # SPG's initial step 1 / |x - P(x - g)| (Birgin, Martinez & Raydan 2000)
+            alpha = min(max(1.0 / dual, 1e-12), 1e8) if dual > 0.0 else 1.0
+            restart = False
         it += 1
         d = g
         if kink is not None:
@@ -355,8 +366,8 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
                     frozen = False
                 elif stuck or dual <= tol:
                     # every later iteration repeats this state: at once when
-                    # dual <= tol, else once the line search from alpha = 1
-                    # has failed at this x
+                    # dual <= tol, else once the line search from SPG's
+                    # initial step at this x has failed
                     if frozen or not stuck:
                         break
                     frozen = True
@@ -373,8 +384,10 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
                               "lam %s", it - 1, rho, primal, dual,
                               "moved" if lam_moved else "kept")
                 inner_target = max(tol / 2.0, inner_target * 0.2)
+                # new multipliers keep the spectral step; a new penalty or a
+                # failed search starts the next one afresh
+                restart = stuck or not lam_moved
                 stuck = False
-                alpha = 1.0
                 continue
             if stuck:
                 break  # unconstrained and no descent step exists

@@ -285,3 +285,59 @@ def test_solve_warmstart_from_point_file(tmp_path, capsys, rng):
                          "--warmstart", str(pt))
     assert code == 0, err
     assert json.loads(out)["objective"] == pytest.approx(base["objective"], abs=1e-6)
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_maps_infinite_values_to_null(tmp_path, capsys, rng):
+    spec = engine_files(tmp_path, rng)
+    model_path = tmp_path / "engine.lp"
+    run(capsys, "encode", "--problem", str(spec), "--formulation", "mip",
+        "-o", str(model_path))
+    # B&B stopped before its root: no bound yet (-inf), and no objective (NaN)
+    code, out, _ = run(capsys, "--json", "solve", "--model", str(model_path),
+                       "--solver", "milp", "--time-limit", "0")
+    doc = strict_json(out)
+    assert doc["best_bound"] is None and doc["objective"] is None
+    # an embedded solve with no iteration has an infinite measure
+    code, out, _ = run(capsys, "--json", "solve", "--problem", str(spec),
+                       "--solver", "embedded", "--max-iter", "0")
+    doc = strict_json(out)
+    assert code == 1 and doc["iterations"] == 0 and doc["kkt_residual"] is None
+
+
+def test_embedded_tolerance_must_be_positive(tmp_path, capsys, rng):
+    spec = engine_files(tmp_path, rng)
+    code, out, err = run(capsys, "solve", "--problem", str(spec), "--solver", "embedded",
+                         "--tol", "-1")
+    assert code == 1 and not out
+    assert err.startswith("error: tol must be finite and > 0")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--solver", "oracle", "--formulation", "mpcc"],
+    ["--solver", "embedded"],
+])
+def test_warmstart_is_refused_by_solvers_that_drop_it(tmp_path, capsys, rng, argv):
+    spec = engine_files(tmp_path, rng)
+    with pytest.raises(SystemExit, match="--warmstart applies to --solver milp and "
+                                         "mpcc-local on --problem"):
+        run(capsys, "solve", "--problem", str(spec), "--warmstart", "auto", *argv)
+
+
+def test_warmstart_is_refused_with_an_lp_file(tmp_path, capsys, rng):
+    spec = engine_files(tmp_path, rng)
+    model_path = tmp_path / "engine.lp"
+    run(capsys, "encode", "--problem", str(spec), "--formulation", "mip",
+        "-o", str(model_path))
+    point = tmp_path / "start.json"
+    point.write_text(json.dumps({"0": 0.5}))
+    with pytest.raises(SystemExit, match="--warmstart applies to --solver milp and "
+                                         "mpcc-local on --problem"):
+        run(capsys, "solve", "--model", str(model_path), "--solver", "milp",
+            "--warmstart", str(point))
