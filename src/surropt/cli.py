@@ -8,6 +8,7 @@ machine-readable output via --json.  SURROPT_LOG sets the log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -409,6 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built once per process: parse_args starts
+    each call from a fresh namespace, so no flag carries over."""
+    return build_parser()
+
+
 def _log_level() -> int:
     name = os.environ.get("SURROPT_LOG", "WARNING").upper()
     level = logging.getLevelName(name)  # the number for a known name
@@ -419,7 +427,7 @@ def _log_level() -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     for name, fallback in (("json", False), ("seed", 0)):
         if not hasattr(args, name):
             setattr(args, name, fallback)

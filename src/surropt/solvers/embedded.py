@@ -1,19 +1,30 @@
 """Direct optimization over DNN(x) without per-neuron auxiliary variables.
 
-An augmented-Lagrangian outer loop handles the (inequality) constraints; the
-inner solves are spectral projected gradient (Birgin, Martinez & Raydan 2000):
-Barzilai-Borwein steps over the input region, each accepted by an Armijo test
-against the largest augmented-Lagrangian value of the last NONMONOTONE_MEMORY
-accepted iterates (Grippo, Lampariello & Lucidi 1986), a memory that restarts
-at every multiplier or penalty update.  A solve's first step is SPG's initial
-step 1 / |x - P(x - g)|_inf; a multiplier update keeps the current spectral
-step, while a penalty raise, or an update that follows a failed line search,
-starts the step again from that rule at the current point.  A constrained
-solve tests against the current value alone until its first update, and a
-run that exhausts its budget returns the lowest point of its last inner
-solve.  The gradient g of the augmented Lagrangian uses the network Jacobian
-with every ReLU neuron within KINK_TOL of its kink inactive (``nn.preactivation_jacobian``, bound
-here as ``_dnn_jacobian``), and the trace's dual infeasibility is
+An augmented-Lagrangian outer loop handles the (inequality) constraints.  The
+inner solves step along a projected L-BFGS direction: the two-loop recursion
+over the inner solve's last LBFGS_MEMORY accepted (s, y) pairs (Nocedal 1980),
+taken over the free variables alone, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu
+1995).  A variable on a box face whose gradient points out of the box is not
+free and keeps the spectral projected gradient step of Birgin, Martinez &
+Raydan (2000), P(x - alpha g) with a Barzilai-Borwein alpha; each pair is cut
+to the free variables, and one with s'y <= 1e-16 there is left out.  The
+line search of an L-BFGS step starts at step 1.  Where the memory is empty,
+or the direction is no descent direction, the whole step is SPG's, from
+alpha.  The memory empties at every multiplier or penalty update, at a step
+from or to a kink iterate (below), and at a step that changes the set of
+positive augmented-Lagrangian terms.  Each trial point must pass an Armijo
+test against the largest augmented-Lagrangian value of the last
+NONMONOTONE_MEMORY accepted iterates (Grippo, Lampariello & Lucidi 1986), a
+memory that also restarts at every update.  A solve's first alpha is SPG's
+initial step 1 / |x - P(x - g)|_inf; a multiplier update keeps the current
+spectral step, while a penalty raise, or an update that follows a failed
+line search, starts alpha again from that rule at the current point.  A
+constrained solve tests against the current value alone until its first
+update, and a run that exhausts its budget returns the lowest point of its
+last inner solve.  The gradient g of the augmented Lagrangian uses the
+network Jacobian with every ReLU neuron within KINK_TOL of its kink inactive
+(``nn.preactivation_jacobian``, bound here as ``_dnn_jacobian``), and the
+trace's dual infeasibility is
 ``|x - P(x - g)|``, so at a kink optimum of a ReLU net that column never
 vanishes while a smooth net's does.
 
@@ -65,6 +76,8 @@ NONMONOTONE_MEMORY = 5
 KINK_RADIUS = 1e-6
 KINK_CAP = 6
 MNP_TOL = 1e-12  # optimality and weight tolerance of min_norm_point
+# (s, y) pairs of the inner solve's last accepted steps behind the L-BFGS step
+LBFGS_MEMORY = 6
 
 log = logging.getLogger(__name__)
 
@@ -238,6 +251,32 @@ def _kink_pieces(net: Network, preacts, gx, gy):
     return gx + gy @ slope_jacobian(net, masks), k
 
 
+def _lbfgs_direction(g, pairs):
+    """-H g for the L-BFGS inverse Hessian H of the (s, y) pairs, oldest
+    first, held as rows 2i and 2i + 1 of ``pairs`` (Nocedal 1980).  Pairs with
+    s'y <= 1e-16 are left out, and H's initial scaling is s'y / y'y of the
+    newest pair kept; None when no pair is kept.  The two-loop recursion runs
+    on Python floats over the Gram matrix of the rows, one matrix product."""
+    G, Zg = (pairs @ pairs.T).tolist(), (pairs @ g).tolist()
+    kept = [i for i in range(0, len(G), 2) if G[i][i + 1] > 1e-16]  # rows of s
+    if not kept:
+        return None
+    a = {}  # a_i = s_i'q / s_i'y_i with q = g - (the sum of a_j y_j over newer j)
+    for i in reversed(kept):
+        a[i] = (Zg[i] - sum(aj * G[i][j + 1] for j, aj in a.items())) / G[i][i + 1]
+    k = kept[-1]
+    gamma = G[k][k + 1] / G[k + 1][k + 1]
+    # r = gamma q, then r += (a_i - b_i) s_i, oldest first, with b_i = y_i'r / s_i'y_i
+    coef = [0.0] * len(G)  # -H g = coef @ pairs - gamma g
+    for i in kept:
+        yi = G[i + 1]
+        yr = gamma * (Zg[i + 1] - sum(aj * yi[j + 1] for j, aj in a.items()))
+        yr -= sum(coef[j] * yi[j] for j in kept if j < i)
+        coef[i] = yr / G[i][i + 1] - a[i]
+        coef[i + 1] = gamma * a[i]
+    return np.array(coef) @ pairs - gamma * g
+
+
 def embedded_solve(net: Network, objective: SmoothObjective, region,
                    constraints: SmoothConstraints | None = None, start=None,
                    max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
@@ -330,6 +369,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             # AL values of this inner solve's last accepted iterates, x's the newest
             recent = deque([parts[-1]], maxlen=NONMONOTONE_MEMORY)
             best = x, here  # this inner solve's lowest AL value so far
+            pairs = np.empty((0, n))  # the L-BFGS (s, y) pairs, oldest first
         (_, _, c, w, fval, alval), g, kink = here
         # max(0, max c); + 0.0 turns a -0.0 maximum into the 0.0 np.maximum gives
         primal = float(c.max(initial=0.0)) + 0.0
@@ -393,12 +433,22 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
                 break  # unconstrained and no descent step exists
             inner_target = max(tol / 2.0, inner_target * 0.2)
             continue
-        # projected step along -d with nonmonotone Armijo backtracking
+        # projected step with nonmonotone Armijo backtracking, the decrease
+        # judged along d
         ref = alval if monotone else max(recent)
-        step = alpha
+        step, e = alpha, d  # the trial points are P(x - step * e)
+        if pairs.shape[0]:  # never at a kink iterate: stepping there empties it
+            # L-BFGS on the free variables, from step 1; a variable on a box
+            # face whose gradient points out keeps the SPG step
+            free = ~(((x <= region.lower) & (g > 0.0)) | ((x >= region.upper) & (g < 0.0)))
+            gf, pf = (g, pairs) if free.all() else (g[free], pairs[:, free])
+            p = _lbfgs_direction(gf, pf)
+            if p is not None and p @ gf < 0.0:
+                step, e = 1.0, alpha * g
+                e[free] = -p
         accepted = False
         for _ in range(40):
-            x_try = region.project(x - step * d)
+            x_try = region.project(x - step * e)
             s = x_try - x
             if not s.any():
                 break
@@ -415,6 +465,10 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         sty = float(s @ yv)
         alpha = float(s @ s) / sty if sty > 1e-16 else min(step * 2.0, 1e8)
         alpha = min(max(alpha, 1e-12), 1e8)
+        if kink is None and kink_new is None and ((parts[3] > 0.0) == (w > 0.0)).all():
+            pairs = np.vstack((pairs[2 - 2 * LBFGS_MEMORY:], s, yv))
+        else:  # a kink or a new set of positive AL terms: the curvature is not x's
+            pairs = np.empty((0, n))
         x = x_try
         here = parts, g_new, kink_new
         recent.append(parts[-1])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import surropt
+from surropt import cli
 from surropt import io as sio
 from surropt.cli import main
 from surropt.nn import random_network
@@ -27,6 +28,25 @@ def test_zaslavsky_command(capsys):
     assert "= 7" in out
     code, out, _ = run(capsys, "--json", "analyze", "--zaslavsky", "3", "2")
     assert json.loads(out)["zaslavsky"] == 7
+
+
+def test_back_to_back_calls_parse_independently(capsys, monkeypatch):
+    # main() builds its parser once per process; each call parses only its argv
+    calls = [("--json", "analyze", "--zaslavsky", "3", "2"),
+             ("analyze", "--zaslavsky", "3", "2"),
+             ("--json", "--seed", "7", "analyze", "--random-net", "2,5,1", "--regions"),
+             ("analyze", "--random-net", "2,5,1", "--regions"),
+             ("analyze", "--zaslavsky", "4", "2", "--json")]
+    shared = [run(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert [run(capsys, *argv) for argv in calls] == shared
+    assert all(code == 0 for code, _, _ in shared)
+    assert json.loads(shared[0][1])["zaslavsky"] == 7
+    assert shared[1][1] == "zaslavsky(3, 2) = 7\n"  # --json did not carry over
+    assert json.loads(shared[2][1])["hidden_neurons"] == 5
+    assert shared[3][1].startswith("hidden ReLU neurons: 5\n")
+    assert json.loads(shared[4][1])["zaslavsky"] == 11
 
 
 def test_regions_on_random_net(capsys):
