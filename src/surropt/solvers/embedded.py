@@ -5,14 +5,16 @@ inner solves step along a projected L-BFGS direction: the two-loop recursion
 over the inner solve's last LBFGS_MEMORY accepted (s, y) pairs (Nocedal 1980),
 taken over the free variables alone, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu
 1995).  A variable on a box face whose gradient points out of the box is not
-free and keeps the spectral projected gradient step of Birgin, Martinez &
-Raydan (2000), P(x - alpha g) with a Barzilai-Borwein alpha; each pair is cut
-to the free variables, and one with s'y <= 1e-16 there is left out.  The
-line search of an L-BFGS step starts at step 1.  Where the memory is empty,
-or the direction is no descent direction, the whole step is SPG's, from
-alpha.  The memory empties at every multiplier or penalty update, at a step
-from or to a kink iterate (below), and at a step that changes the set of
-positive augmented-Lagrangian terms.  Each trial point must pass an Armijo
+free and stays on that face; each pair is cut to the free variables, and one
+with s'y <= 1e-16 there is left out.  The line search of an L-BFGS step
+starts at step 1.  Where the memory is empty, or the direction is no descent
+direction, the step is the spectral projected gradient (SPG) step of Birgin,
+Martinez & Raydan (2000), P(x - alpha g) with a Barzilai-Borwein alpha.  Any
+region but a BoxRegion, a PolytopeRegion say, takes SPG steps alone:
+projected onto a face A x <= b, an L-BFGS descent direction can climb.  The memory empties at
+every multiplier or penalty update, at a step from or to a kink iterate
+(below), and at a step that changes the set of positive augmented-Lagrangian
+terms.  Each trial point must pass an Armijo
 test against the largest augmented-Lagrangian value of the last
 NONMONOTONE_MEMORY accepted iterates (Grippo, Lampariello & Lucidi 1986), a
 memory that also restarts at every update.  A solve's first alpha is SPG's
@@ -256,7 +258,9 @@ def _lbfgs_direction(g, pairs):
     first, held as rows 2i and 2i + 1 of ``pairs`` (Nocedal 1980).  Pairs with
     s'y <= 1e-16 are left out, and H's initial scaling is s'y / y'y of the
     newest pair kept; None when no pair is kept.  The two-loop recursion runs
-    on Python floats over the Gram matrix of the rows, one matrix product."""
+    on Python floats over the Gram matrix of the rows, one matrix product: the
+    textbook loop of vector operations left the embedded benchmark's solve_s
+    8 % higher (BENCH_21.json, lbfgs_direction_form)."""
     G, Zg = (pairs @ pairs.T).tolist(), (pairs @ g).tolist()
     kept = [i for i in range(0, len(G), 2) if G[i][i + 1] > 1e-16]  # rows of s
     if not kept:
@@ -315,6 +319,9 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     lam_sq = lam @ lam  # taken anew whenever lam moves
     rho = 10.0
     pure_relu = net.is_pure_relu()
+    # L-BFGS steps need a box: projecting them onto a face A x <= b can climb
+    # along a descent direction, so a polytope keeps SPG's steps alone
+    box = isinstance(region, BoxRegion)
 
     def al_parts(x):
         y, preacts = forward_with_preactivations(net, x)
@@ -437,14 +444,14 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         # judged along d
         ref = alval if monotone else max(recent)
         step, e = alpha, d  # the trial points are P(x - step * e)
-        if pairs.shape[0]:  # never at a kink iterate: stepping there empties it
+        if box and pairs.shape[0]:  # never at a kink iterate: stepping there empties it
             # L-BFGS on the free variables, from step 1; a variable on a box
-            # face whose gradient points out keeps the SPG step
+            # face whose gradient points out stays on that face
             free = ~(((x <= region.lower) & (g > 0.0)) | ((x >= region.upper) & (g < 0.0)))
             gf, pf = (g, pairs) if free.all() else (g[free], pairs[:, free])
             p = _lbfgs_direction(gf, pf)
             if p is not None and p @ gf < 0.0:
-                step, e = 1.0, alpha * g
+                step, e = 1.0, np.zeros(n)
                 e[free] = -p
         accepted = False
         for _ in range(40):
@@ -466,7 +473,8 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         alpha = float(s @ s) / sty if sty > 1e-16 else min(step * 2.0, 1e8)
         alpha = min(max(alpha, 1e-12), 1e8)
         if kink is None and kink_new is None and ((parts[3] > 0.0) == (w > 0.0)).all():
-            pairs = np.vstack((pairs[2 - 2 * LBFGS_MEMORY:], s, yv))
+            full = pairs.shape[0] == 2 * LBFGS_MEMORY  # then the oldest pair goes
+            pairs = np.vstack((pairs[2:] if full else pairs, s, yv))
         else:  # a kink or a new set of positive AL terms: the curvature is not x's
             pairs = np.empty((0, n))
         x = x_try

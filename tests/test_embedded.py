@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import os
@@ -722,6 +723,72 @@ def test_box_least_squares_matches_lsq_linear(n, seed):
     ref = lsq_linear(A, b, bounds=(lower, upper), method="bvls", tol=1e-12)
     x = np.array([res.point[j] for j in range(n)])
     np.testing.assert_allclose(x, ref.x, rtol=0.0, atol=1e-5)
+
+
+def exact_qp(M, c, G, h):
+    """argmin 0.5 |M x - c|^2 s.t. G x <= h for M of full column rank: the
+    first set of faces whose equality-constrained optimum is feasible with
+    nonnegative multipliers (the KKT point, unique for a strictly convex
+    objective)."""
+    Q, q, n = M.T @ M, M.T @ c, M.shape[1]
+    for k in range(n + 1):
+        for S in map(list, itertools.combinations(range(len(G)), k)):
+            K = np.block([[Q, G[S].T], [G[S], np.zeros((k, k))]])
+            if np.linalg.matrix_rank(K) < n + k:
+                continue
+            sol = np.linalg.solve(K, np.concatenate([q, h[S]]))
+            if (G @ sol[:n] - h <= 1e-9).all() and (sol[n:] >= -1e-9).all():
+                return sol[:n]
+    raise AssertionError("no KKT point")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_polytope_least_squares_matches_the_exact_qp(n, m, boxed, seed):
+    # min 0.5 |M x - c|^2 over {A x <= b} or its intersection with a box,
+    # with the unconstrained minimizer z cut off by the first row of A: the
+    # optimum lies on a face of A x <= b, where a projected L-BFGS step can
+    # climb (scipy's SLSQP and trust-constr miss this optimum by up to 4e-5
+    # on such draws, so the reference enumerates the active faces)
+    rng = np.random.default_rng(seed)
+    M = np.vstack([rng.normal(size=(n + 2, n)), np.eye(n)])  # singular values >= 1
+    z = rng.normal(0.0, 2.0, n)
+    c = M @ z
+    lower, upper = (-3.0 - rng.random(n), 3.0 + rng.random(n)) if boxed else (
+        np.full(n, -np.inf), np.full(n, np.inf))
+    inside = np.clip(rng.normal(0.0, 0.5, n), lower + 0.5, upper - 0.5)
+    A = rng.normal(size=(m, n))
+    A[0] *= np.sign(A[0] @ (z - inside)) or 1.0
+    b = A @ inside + rng.uniform(0.1, 1.0, m)
+    b[0] = A[0] @ inside + rng.uniform(0.1, 0.9) * (A[0] @ (z - inside))
+    obj = SmoothObjective(value=lambda y, x: 0.5 * float((M @ x - c) @ (M @ x - c)),
+                          grad_x=lambda y, x: M.T @ (M @ x - c),
+                          grad_y=lambda y, x: np.zeros(1))
+    net = random_network(rng, [n, 4, 1], "swish")
+    res, _ = embedded_solve(net, obj, PolytopeRegion(A, b, lower, upper),
+                            start=rng.uniform(-1.0, 1.0, n))
+    assert res.status is Status.OPTIMAL
+    faces = np.isfinite(upper), np.isfinite(lower)
+    G = np.vstack([A, np.eye(n)[faces[0]], -np.eye(n)[faces[1]]])
+    h = np.concatenate([b, upper[faces[0]], -lower[faces[1]]])
+    x = np.array([res.point[j] for j in range(n)])
+    np.testing.assert_allclose(x, exact_qp(M, c, G, h), rtol=0.0, atol=1e-5)
+
+
+@pytest.mark.parametrize("memory", [1, 2, embedded.LBFGS_MEMORY])
+def test_lbfgs_memory_holds_at_most_its_length(monkeypatch, memory):
+    seen = []
+    direction = embedded._lbfgs_direction
+
+    def recording(g, pairs):
+        seen.append(pairs.shape[0])
+        return direction(g, pairs)
+
+    monkeypatch.setattr(embedded, "LBFGS_MEMORY", memory)
+    monkeypatch.setattr(embedded, "_lbfgs_direction", recording)
+    res, _ = embedded_solve(*swish_descent(11))
+    assert res.status is Status.OPTIMAL
+    assert max(seen) == 2 * memory and min(seen) >= 2
 
 
 def test_member_six_attack_sweep():
