@@ -1,6 +1,6 @@
 """Desk-scale solvers: simplex LP, branch-and-bound MILP, Frank-Wolfe QP,
-activation-pattern solvers for complementarity models, and the embedded
-augmented-Lagrangian solver."""
+activation-pattern solvers for complementarity models, a dense dual
+active-set QP, and the embedded SQP solver."""
 
 from .result import NumericalError, SolveResult, SolverError, Status, TraceRecord
 from .simplex import lp_solve

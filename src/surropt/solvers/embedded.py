@@ -1,58 +1,59 @@
 """Direct optimization over DNN(x) without per-neuron auxiliary variables.
 
-An augmented-Lagrangian outer loop handles the (inequality) constraints.  The
-inner solves step along a projected L-BFGS direction: the two-loop recursion
-over the inner solve's last LBFGS_MEMORY accepted (s, y) pairs (Nocedal 1980),
-taken over the free variables alone, as in L-BFGS-B (Byrd, Lu, Nocedal & Zhu
-1995).  A variable on a box face whose gradient points out of the box is not
-free and stays on that face; each pair is cut to the free variables, and one
-with s'y <= 1e-16 there is left out.  The line search of an L-BFGS step
-starts at step 1.  Where the memory is empty, or the direction is no descent
-direction, the step is the spectral projected gradient (SPG) step of Birgin,
-Martinez & Raydan (2000), P(x - alpha g) with a Barzilai-Borwein alpha.  Any
-region but a BoxRegion, a PolytopeRegion say, takes SPG steps alone:
-projected onto a face A x <= b, an L-BFGS descent direction can climb.  The memory empties at
-every multiplier or penalty update, at a step from or to a kink iterate
-(below), and at a step that changes the set of positive augmented-Lagrangian
-terms.  Each trial point must pass an Armijo
-test against the largest augmented-Lagrangian value of the last
-NONMONOTONE_MEMORY accepted iterates (Grippo, Lampariello & Lucidi 1986), a
-memory that also restarts at every update.  A solve's first alpha is SPG's
-initial step 1 / |x - P(x - g)|_inf; a multiplier update keeps the current
-spectral step, while a penalty raise, or an update that follows a failed
-line search, starts alpha again from that rule at the current point.  A
-constrained solve tests against the current value alone until its first
-update, and a run that exhausts its budget returns the lowest point of its
-last inner solve.  The gradient g of the augmented Lagrangian uses the
-network Jacobian with every ReLU neuron within KINK_TOL of its kink inactive
-(``nn.preactivation_jacobian``, bound here as ``_dnn_jacobian``), and the
-trace's dual infeasibility is
-``|x - P(x - g)|``, so at a kink optimum of a ReLU net that column never
-vanishes while a smooth net's does.
+Sequential quadratic programming (SQP; Nocedal & Wright 2006, ch. 18).  Each
+iteration solves one strictly convex QP in the step d,
+
+    min 0.5 d'B d + g'd   s.t.   c + J d <= 0,   x + d in the region,
+
+with g the objective's gradient, J the constraints' Jacobian and B a damped
+BFGS model of the Lagrangian's Hessian (Powell 1978), on the dual active-set
+solver of ``qp.py`` (Goldfarb & Idnani 1983), warm-started from the last
+QP's working set.  The region's box enters as bounds, a PolytopeRegion's rows
+A x <= b as rows.  A QP whose linearized constraints admit no step is solved
+again with Powell's relaxation variable.  An Armijo search from step 1 on the
+l1 merit f + pi * sum(max(0, c)) then takes the step; pi rises to twice the
+largest QP multiplier whenever it falls below 1.5 times it, so between
+raises the merit never increases.  The QP's multipliers lam give the
+Lagrangian gradient g + J'lam, whose change along an accepted step is the
+BFGS pair; B starts as the identity, scaled by y'y / s'y at its first update.
+A failed search resets B to the identity.  A failed search with a fresh B at
+an infeasible point, a local minimum of the merit, takes the full step
+regardless and restarts pi from 0, the one step that may raise the merit; at
+a feasible point, or with a zero step, nothing can change any more and the
+solve ends at once with the status the full budget would give.  A budget
+exit returns the last point, the lowest in merit since the last raise.
+
+The gradients use the network Jacobian with every ReLU neuron within KINK_TOL
+of its kink inactive (``nn.preactivation_jacobian``, bound here as
+``_dnn_jacobian``), and the trace's dual infeasibility is
+``|x - P(x - g - J'lam)|``, so at a kink optimum of a ReLU net that column
+never vanishes while a smooth net's does.
 
 At an iterate of a pure-ReLU net where k <= KINK_CAP hidden neurons lie within
-KINK_RADIUS of their kink, the solver instead takes the min-norm element v of
-the hull of the 2**k piece gradients around the kink (the gradient-sampling
-direction of Burke, Lewis & Overton 2005): it steps along -v, tested against
-the current value alone (the memory restarts there), and ``|x - P(x - v)|``
-decides the inner solve.  A primal-feasible kink iterate
-where that measure is below ``tol`` ends at once as Stalled: the point is
-Clarke stationary, but not a smooth optimum.  A run whose state can no longer
-change (multipliers and penalty fixed for good, x not moving) stops at once
-with the status the full budget would give.
+KINK_RADIUS of their kink, ``|x - P(x - v)|`` decides convergence instead, v
+the min-norm element of the hull of the 2**k piece gradients of the
+Lagrangian around the kink (the gradient-sampling direction of Burke, Lewis &
+Overton 2005).  The Lagrangian there takes the multipliers of the face QP,
+the QP that also holds the near-kink preactivations at 0 to first order: the
+plain QP's belong to the one piece it linearizes.  A primal-feasible kink
+iterate where that measure is below ``tol`` ends at once as Stalled: the
+point is Clarke stationary, but not a smooth optimum.  At a kink a search
+ends once its step is shorter than KINK_RADIUS; when the QP step's search
+fails there, the solver steps along -v (the merit's hull, with weight pi on
+each violated constraint, at an infeasible point), then along the face QP's
+step.
 
-Per iteration the solver runs one forward pass per line-search trial point
-and one network Jacobian per accepted step, built from that pass's
-preactivations; an outer update that moves the multipliers or the penalty
-costs one more forward pass and Jacobian at the current point.  Each outer
-update and each stop at a kink is logged at DEBUG on this module's logger.
+Per iteration the solver solves one QP, and the face QP too at a kink
+iterate; it runs one forward pass per line-search trial point and one network
+Jacobian per accepted step, built from that pass's preactivations.  Each
+penalty raise and reset, each relaxed QP and each stop at a kink is logged at
+DEBUG on this module's logger.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,26 +61,20 @@ import numpy as np
 
 from ..nn import Network, forward, forward_with_preactivations, slope_jacobian
 from ..nn import preactivation_jacobian as _dnn_jacobian
+from .qp import solve_qp
 from .result import SolveResult, Status, TraceRecord
 
 DEFAULT_MAX_ITER = 3000
 DEFAULT_TOL = 1e-6
-RHO_MAX = 1e10  # cap of the augmented-Lagrangian penalty
 # the gradient and the trace treat a ReLU neuron within KINK_TOL of 0 as inactive
 KINK_TOL = 1e-10
-# a trial step must improve on the largest augmented-Lagrangian value of the
-# last NONMONOTONE_MEMORY accepted iterates (Grippo, Lampariello & Lucidi 1986).
-# Not the literature's 10: longer climbs carry ReLU solves past the kinks that
-# end them (unconstrained on 200 random [4, 12, 1] nets: 35,652 iterations
-# with 10, 12,316 with 5, 4,137 with a monotone search)
-NONMONOTONE_MEMORY = 5
 # hidden ReLU neurons with |preactivation| <= KINK_RADIUS sit at a kink; the
 # solver takes the hull of the 2**k pieces around at most KINK_CAP of them
 KINK_RADIUS = 1e-6
 KINK_CAP = 6
 MNP_TOL = 1e-12  # optimality and weight tolerance of min_norm_point
-# (s, y) pairs of the inner solve's last accepted steps behind the L-BFGS step
-LBFGS_MEMORY = 6
+ARMIJO = 1e-4  # the share of the model's decrease a step must achieve
+MAX_HALVINGS = 40  # trial steps per line search
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +123,8 @@ class BoxRegion:
 
     def project(self, p):
         # np.clip(p, lower, upper) bit for bit, signed zeros, NaN and inf
-        # included, in this argument order only (see embedded_solve's loop)
+        # included, in this argument order only; embedded_solve clips its
+        # QP steps in the same order
         return np.minimum(np.maximum(p, self.lower), self.upper)
 
 
@@ -253,32 +249,18 @@ def _kink_pieces(net: Network, preacts, gx, gy):
     return gx + gy @ slope_jacobian(net, masks), k
 
 
-def _lbfgs_direction(g, pairs):
-    """-H g for the L-BFGS inverse Hessian H of the (s, y) pairs, oldest
-    first, held as rows 2i and 2i + 1 of ``pairs`` (Nocedal 1980).  Pairs with
-    s'y <= 1e-16 are left out, and H's initial scaling is s'y / y'y of the
-    newest pair kept; None when no pair is kept.  The two-loop recursion runs
-    on Python floats over the Gram matrix of the rows, one matrix product: the
-    textbook loop of vector operations left the embedded benchmark's solve_s
-    8 % higher (BENCH_21.json, lbfgs_direction_form)."""
-    G, Zg = (pairs @ pairs.T).tolist(), (pairs @ g).tolist()
-    kept = [i for i in range(0, len(G), 2) if G[i][i + 1] > 1e-16]  # rows of s
-    if not kept:
-        return None
-    a = {}  # a_i = s_i'q / s_i'y_i with q = g - (the sum of a_j y_j over newer j)
-    for i in reversed(kept):
-        a[i] = (Zg[i] - sum(aj * G[i][j + 1] for j, aj in a.items())) / G[i][i + 1]
-    k = kept[-1]
-    gamma = G[k][k + 1] / G[k + 1][k + 1]
-    # r = gamma q, then r += (a_i - b_i) s_i, oldest first, with b_i = y_i'r / s_i'y_i
-    coef = [0.0] * len(G)  # -H g = coef @ pairs - gamma g
-    for i in kept:
-        yi = G[i + 1]
-        yr = gamma * (Zg[i + 1] - sum(aj * yi[j + 1] for j, aj in a.items()))
-        yr -= sum(coef[j] * yi[j] for j in kept if j < i)
-        coef[i] = yr / G[i][i + 1] - a[i]
-        coef[i + 1] = gamma * a[i]
-    return np.array(coef) @ pairs - gamma * g
+def _kink_rows(net: Network, preacts):
+    """Gradients of the hidden preactivations within ``KINK_RADIUS`` of 0, one
+    row each, with their values; a neuron upstream counts as active above
+    KINK_TOL, as in the Jacobian."""
+    rows, vals, M = [], [], None
+    for lay, a in zip(net.hidden_layers, preacts):
+        P = lay.weights if M is None else lay.weights @ M
+        near = np.abs(a) <= KINK_RADIUS
+        rows.append(P[near])
+        vals.append(a[near])
+        M = P * (a > KINK_TOL)[:, None]
+    return np.vstack(rows), np.concatenate(vals)
 
 
 def embedded_solve(net: Network, objective: SmoothObjective, region,
@@ -287,16 +269,15 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
                    trace_path=None):
     """Minimize f(DNN(x), x) s.t. c(DNN(x), x) <= 0 over x in the region.
 
-    Returns (SolveResult, [TraceRecord...]) with one trace row per inner
-    iteration (objective, primal and dual infeasibility); with ``trace_path``
-    the rows are also written as CSV.  Optimal means both infeasibilities
-    fall below ``tol`` away from a ReLU kink.  At a kink the min-norm hull
-    element replaces the gradient in the step and in the stopping measure, and
-    a primal-feasible kink point where that measure falls below ``tol`` ends
-    at once as Stalled; ``kkt_residual`` is the measure of the last iterate.
-    A run that exhausts its budget, or reaches a state that no longer
-    changes, is Stalled if primal-feasible and LimitReached otherwise; at
-    the budget it returns the lowest point of its last inner solve.
+    Returns (SolveResult, [TraceRecord...]) with one trace row per iteration
+    (objective, primal and dual infeasibility); with ``trace_path`` the rows
+    are also written as CSV.  Optimal means both infeasibilities fall below
+    ``tol`` away from a ReLU kink.  At a kink the min-norm hull element
+    replaces the Lagrangian gradient in the stopping measure, and a
+    primal-feasible kink point where that measure falls below ``tol`` ends at
+    once as Stalled; ``kkt_residual`` is the measure of the last iterate.  A
+    run that exhausts its budget, or reaches a state that no longer changes,
+    is Stalled if primal-feasible and LimitReached otherwise.
     """
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, not {max_iter!r}")
@@ -309,187 +290,165 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     if start.shape != (n,):
         raise ValueError(f"start must hold {n} entries, one per input, not {start.size}")
     x = region.project(start)
-
-    def cvals(x, y):
-        if constraints is None:
-            return np.zeros(0)
-        return np.asarray(constraints.value(y, x), dtype=float).reshape(-1)
-
-    lam = np.zeros(cvals(x, forward(net, x)).shape[0])
-    lam_sq = lam @ lam  # taken anew whenever lam moves
-    rho = 10.0
+    lower, upper = region.lower, region.upper
+    A = getattr(region, "A", np.zeros((0, n)))
+    b = getattr(region, "b", np.zeros(0))
     pure_relu = net.is_pure_relu()
-    # L-BFGS steps need a box: projecting them onto a face A x <= b can climb
-    # along a descent direction, so a polytope keeps SPG's steps alone
-    box = isinstance(region, BoxRegion)
 
-    def al_parts(x):
+    def evaluate(x):
+        """One forward pass: (y, preactivations, c, f, sum of max(0, c))."""
         y, preacts = forward_with_preactivations(net, x)
-        c = cvals(x, y)
-        w = np.maximum(0.0, lam + rho * c)
-        fval = float(objective.value(y, x))
-        alval = fval + float(w @ w - lam_sq) / (2.0 * rho) if c.size else fval
-        return y, preacts, c, w, fval, alval
+        c = (np.zeros(0) if constraints is None
+             else np.asarray(constraints.value(y, x), dtype=float).reshape(-1))
+        return y, preacts, c, float(objective.value(y, x)), float(np.maximum(c, 0.0).sum())
 
-    def al_grad(x, parts):
-        """The gradient g at x and, at a ReLU kink, (v, k, pieces): the min-norm
-        element v of the hull of the k near-kink neurons' piece gradients."""
-        y, preacts, _, w, _, _ = parts
+    def derivatives(x, parts):
+        """One network Jacobian: f's gradient, the constraint Jacobian and the
+        partial derivatives the kink pieces take."""
+        y, preacts = parts[0], parts[1]
         gx = np.asarray(objective.grad_x(y, x), dtype=float).reshape(-1)
         gy = np.asarray(objective.grad_y(y, x), dtype=float).reshape(-1)
-        if w.size:
-            gx = gx + np.asarray(constraints.jac_x(y, x)).T @ w
-            gy = gy + np.asarray(constraints.jac_y(y, x)).T @ w
         J = _dnn_jacobian(net, preacts, KINK_TOL)
-        kink = _kink_pieces(net, preacts, gx, gy) if pure_relu else None
-        if kink is not None:
-            pieces, k = kink
-            kink = min_norm_point(pieces)[0], k, len(pieces)
-        return gx + J.T @ gy, kink
+        if constraints is None:
+            cx, cy = np.zeros((0, n)), np.zeros((0, gy.size))
+        else:
+            cx = np.asarray(constraints.jac_x(y, x), dtype=float).reshape(-1, n)
+            cy = np.asarray(constraints.jac_y(y, x), dtype=float).reshape(cx.shape[0], -1)
+        return gx + J.T @ gy, cx + cy @ J, (gx, gy, cx, cy)
 
     def measure(x, d):
         return float(np.abs(x - region.project(x - d)).max(initial=0.0))
 
     traces = []
     it = 0
-    restart = True  # the next step is SPG's initial one, set from the trace's dual
-    inner_target = 1e-2
-    primal_target = 0.1
+    B = np.eye(n)
+    fresh = True  # B is the identity: no pair has updated it since the start or a reset
+    pi = 0.0  # the merit's penalty
+    working = None  # the last QP's working set, the next one's warm start
+    lam = np.zeros(0)
     converged = False
-    stuck = False
-    frozen = False  # an idle update followed a failed line search, x held since
-    # a constrained solve descends monotonically until its first update: the
-    # start's penalty term would let the memory admit any trial
-    monotone = lam.size > 0
     primal = dual = math.inf
-    here = None  # (al_parts(x), its gradient, kink), valid while lam and rho hold
-    # Each iteration works on vectors of a few dozen entries, where numpy's
-    # Python-level wrappers (np.clip, np.any, np.argmin) cost 1-3 us per call,
-    # more than the work they wrap; the loop calls ndarray methods and ufuncs
-    # that return the same bits.  For the projection that takes one order:
-    # BoxRegion.project's minimum(maximum(p, lower), upper) equals np.clip,
-    # while minimum(upper, maximum(lower, p)) gives +0.0 for its -0.0.
+    parts = evaluate(x)
+    grads = derivatives(x, parts)
     while it < max_iter:
-        if here is None:
-            parts = al_parts(x)
-            here = parts, *al_grad(x, parts)
-            # AL values of this inner solve's last accepted iterates, x's the newest
-            recent = deque([parts[-1]], maxlen=NONMONOTONE_MEMORY)
-            best = x, here  # this inner solve's lowest AL value so far
-            pairs = np.empty((0, n))  # the L-BFGS (s, y) pairs, oldest first
-        (_, _, c, w, fval, alval), g, kink = here
-        # max(0, max c); + 0.0 turns a -0.0 maximum into the 0.0 np.maximum gives
-        primal = float(c.max(initial=0.0)) + 0.0
-        dual = measure(x, g)
+        y, preacts, c, fval, csum = parts
+        g, Jc, (gx, gy, cx, cy) = grads
+        # the QP in the step d: the linearized constraints and the region's rows
+        # as rows, the box as bounds; 0 satisfies all but the former
+        rows = np.vstack((Jc, A)) if A.size else Jc
+        rhs = np.concatenate((-c, np.maximum(b - A @ x, 0.0))) if A.size else -c
+        qp = solve_qp(B, g, rows, rhs, np.minimum(lower - x, 0.0),
+                      np.maximum(upper - x, 0.0), active=working, relax=True)
+        if qp is None:  # the relaxed QP failed too: no step, the last multipliers
+            d = np.zeros(n)
+            lam = lam if lam.size else np.zeros(c.size)
+        else:
+            d, lam, working = qp.x, qp.y[:c.size], qp.active
+        gl = g + Jc.T @ lam if lam.size else g
+        primal = float(c.max(initial=0.0)) + 0.0  # + 0.0 turns a -0.0 into 0.0
+        dual = measure(x, gl)
         traces.append(TraceRecord(it, fval, primal, dual))
-        if restart:
-            # SPG's initial step 1 / |x - P(x - g)| (Birgin, Martinez & Raydan 2000)
-            alpha = min(max(1.0 / dual, 1e-12), 1e8) if dual > 0.0 else 1.0
-            restart = False
         it += 1
-        d = g
+        kink = face = None
+        if pure_relu:
+            kink = _kink_pieces(net, preacts, gx + cx.T @ lam, gy + cy.T @ lam)
         if kink is not None:
-            # at a kink, descend along the min-norm hull element and judge by
-            # it, with a monotone line search from here
-            d = kink[0]
-            dual = measure(x, d)
-            recent = deque([alval], maxlen=NONMONOTONE_MEMORY)
+            # the QP with the near-kink preactivations held at 0 to first
+            # order; its multipliers, not those of the piece the plain QP
+            # linearizes, weigh the constraints in the hull's pieces
+            G, a = _kink_rows(net, preacts)
+            face = solve_qp(B, g, np.vstack((rows, G, -G)), np.concatenate((rhs, -a, a)),
+                            np.minimum(lower - x, 0.0), np.maximum(upper - x, 0.0),
+                            relax=True)
+            if c.size and face is not None and face.relaxation == 0.0:
+                mu = face.y[:c.size]
+                kink = _kink_pieces(net, preacts, gx + cx.T @ mu, gy + cy.T @ mu)
+            pieces, k = kink
+            v = min_norm_point(pieces)[0]
+            dual = measure(x, v)
             if primal <= tol and dual <= tol:
                 log.debug("kink stop at iteration %d: k=%d pieces=%d measure=%.3e",
-                          it - 1, kink[1], kink[2], dual)
+                          it - 1, k, len(pieces), dual)
                 break
         elif primal <= tol and dual <= tol:
             converged = True
             break
-        if dual <= max(inner_target, tol) or stuck:
-            # inner solve done: update multipliers / penalty, tighten targets
-            if lam.size:
-                lam_moved = primal <= primal_target
-                # an idle update leaves lam and rho as they are, now and at
-                # every later update from this x
-                idle = (primal <= tol / 10.0 and np.array_equal(w, lam) if lam_moved
-                        else rho >= RHO_MAX)
-                if not idle:
-                    frozen = False
-                elif stuck or dual <= tol:
-                    # every later iteration repeats this state: at once when
-                    # dual <= tol, else once the line search from SPG's
-                    # initial step at this x has failed
-                    if frozen or not stuck:
-                        break
-                    frozen = True
-                monotone = False
-                if lam_moved:
-                    lam = w
-                    lam_sq = lam @ lam
-                    primal_target = max(tol / 10.0, primal_target * 0.5)
-                else:
-                    rho = min(rho * 10.0, RHO_MAX)
-                here = None
-                if log.isEnabledFor(logging.DEBUG):
-                    log.debug("AL update at iteration %d: rho=%g primal=%.3e dual=%.3e "
-                              "lam %s", it - 1, rho, primal, dual,
-                              "moved" if lam_moved else "kept")
-                inner_target = max(tol / 2.0, inner_target * 0.2)
-                # new multipliers keep the spectral step; a new penalty or a
-                # failed search starts the next one afresh
-                restart = stuck or not lam_moved
-                stuck = False
-                continue
-            if stuck:
-                break  # unconstrained and no descent step exists
-            inner_target = max(tol / 2.0, inner_target * 0.2)
-            continue
-        # projected step with nonmonotone Armijo backtracking, the decrease
-        # judged along d
-        ref = alval if monotone else max(recent)
-        step, e = alpha, d  # the trial points are P(x - step * e)
-        if box and pairs.shape[0]:  # never at a kink iterate: stepping there empties it
-            # L-BFGS on the free variables, from step 1; a variable on a box
-            # face whose gradient points out stays on that face
-            free = ~(((x <= region.lower) & (g > 0.0)) | ((x >= region.upper) & (g < 0.0)))
-            gf, pf = (g, pairs) if free.all() else (g[free], pairs[:, free])
-            p = _lbfgs_direction(gf, pf)
-            if p is not None and p @ gf < 0.0:
-                step, e = 1.0, np.zeros(n)
-                e[free] = -p
-        accepted = False
-        for _ in range(40):
-            x_try = region.project(x - step * e)
-            s = x_try - x
-            if not s.any():
-                break
-            parts = al_parts(x_try)
-            if parts[-1] <= ref + 1e-4 * float(d @ s):
-                accepted = True
-                break
-            step *= 0.5
+        if qp is not None and qp.relaxation > 0.0:
+            log.debug("relaxed QP at iteration %d: xi=%.3e", it - 1, qp.relaxation)
+        lam_max = float(lam.max(initial=0.0))
+        if pi < 1.5 * lam_max:
+            pi = 2.0 * lam_max
+            log.debug("penalty raise at iteration %d: pi=%.17g", it - 1, pi)
+        phi = fval + pi * csum
+        # at a kink, a step shorter than KINK_RADIUS cannot leave it
+        floor = KINK_RADIUS if kink is not None else 0.0
+
+        def search(point, decrease, length):
+            """Armijo on the merit over the trial points point(t), t = 1, 1/2,
+            ...: the first whose merit falls by ARMIJO * decrease(t, s) with
+            s its step, or None once t * length reaches the floor."""
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                x_try = point(t)
+                s = x_try - x
+                if not s.any() or t * length <= floor:
+                    return None
+                trial = evaluate(x_try)
+                if trial[3] + pi * trial[4] <= phi + ARMIJO * decrease(t, s):
+                    return x_try, trial
+                t *= 0.5
+            return None
+
+        def qp_search(d):
+            # Armijo from step 1, judged by the model's decrease D
+            D = float(g @ d) + pi * (float(np.maximum(c + Jc @ d, 0.0).sum()) - csum)
+            if not D < 0.0:
+                return None
+            return search(lambda t: np.minimum(np.maximum(x + t * d, lower), upper),
+                          lambda t, s: t * D, float(np.abs(d).max()))
+
+        step = qp_search(d)
+        if step is None and kink is not None:
+            # at a kink, along the min-norm element of the hull of the merit's piece
+            # gradients: the Lagrangian's where x is feasible, else the
+            # penalty's weight on each violated constraint
+            if primal > 0.0:
+                w = np.where(c > 0.0, pi, 0.0)
+                v = min_norm_point(_kink_pieces(net, preacts, gx + cx.T @ w,
+                                                gy + cy.T @ w)[0])[0]
+            span = measure(x, v)  # the first trial moves x by up to 1
+            if span > 0.0:
+                step = search(lambda t: region.project(x - (t / span) * v),
+                              lambda t, s: float(v @ s), 1.0)
+        if step is None and face is not None:
+            step = qp_search(face.x)  # then along the kink
+        accepted = step is not None
+        if accepted:
+            x_try, trial = step
+        if not accepted and fresh and primal > tol and d.any():
+            # an infeasible point where even a fresh model's step fails is a
+            # local minimum of the merit: take the full step regardless and
+            # restart the penalty from 0
+            x_try = np.minimum(np.maximum(x + d, lower), upper)
+            trial = evaluate(x_try)
+            accepted = True
+            pi = 0.0
+            log.debug("penalty reset at iteration %d: full step from an infeasible stall", it - 1)
         if not accepted:
-            stuck = True
+            if fresh or not d.any():
+                break  # every later iteration would repeat this one
+            B, fresh = np.eye(n), True
             continue
-        g_new, kink_new = al_grad(x_try, parts)
-        yv = g_new - g
-        sty = float(s @ yv)
-        alpha = float(s @ s) / sty if sty > 1e-16 else min(step * 2.0, 1e8)
-        alpha = min(max(alpha, 1e-12), 1e8)
-        if kink is None and kink_new is None and ((parts[3] > 0.0) == (w > 0.0)).all():
-            full = pairs.shape[0] == 2 * LBFGS_MEMORY  # then the oldest pair goes
-            pairs = np.vstack((pairs[2:] if full else pairs, s, yv))
-        else:  # a kink or a new set of positive AL terms: the curvature is not x's
-            pairs = np.empty((0, n))
-        x = x_try
-        here = parts, g_new, kink_new
-        recent.append(parts[-1])
-        if parts[-1] < best[1][0][-1]:
-            best = x, here
-        stuck = frozen = False
+        grads_new = derivatives(x_try, trial)
+        s = x_try - x
+        if kink is None:
+            gl_new = grads_new[0] + grads_new[1].T @ lam if lam.size else grads_new[0]
+            B, fresh = _damped_bfgs(B, s, gl_new - gl, fresh)
+        x, parts, grads = x_try, trial, grads_new
     else:
-        # the budget ran out; the search may have climbed from a point it visited
-        if here is not None and best[1][0][-1] < here[0][-1]:
-            x, here = best
-            (_, _, c, _, _, _), g, kink = here
-            primal = float(c.max(initial=0.0)) + 0.0
-            dual = measure(x, g if kink is None else kink[0])
+        if traces:  # the budget ran out: judge the point the last step reached
+            primal = float(parts[2].max(initial=0.0)) + 0.0
+            dual = measure(x, grads[0] + grads[1].T @ lam if lam.size else grads[0])
 
     y = forward(net, x)
     res = SolveResult(
@@ -505,3 +464,22 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
 
         sio.write_trace(traces, trace_path)
     return res, traces
+
+
+def _damped_bfgs(B, s, yv, fresh):
+    """Powell's (1978) damped BFGS update of B by the pair (s, yv): yv is
+    replaced by r = theta yv + (1 - theta) B s, with theta the largest value
+    in [0, 1] that keeps s'r >= 0.2 s'B s, so B stays positive definite.  A
+    fresh identity is first scaled by yv'yv / s'yv (Nocedal & Wright 2006,
+    eq. 6.20).  Returns (B, fresh)."""
+    sy = float(s @ yv)
+    if fresh and sy > 0.0:
+        B = (float(yv @ yv) / sy) * np.eye(s.size)
+    Bs = B @ s
+    sBs = float(s @ Bs)
+    if not sBs > 0.0:
+        return B, fresh
+    theta = 1.0 if sy >= 0.2 * sBs else 0.8 * sBs / (sBs - sy)
+    r = theta * yv + (1.0 - theta) * Bs
+    B = B - np.outer(Bs, Bs / sBs) + np.outer(r, r / float(s @ r))
+    return 0.5 * (B + B.T), False
