@@ -442,6 +442,80 @@ def merit(trace_row, pi):
     return trace_row.objective + pi * trace_row.primal_infeasibility
 
 
+def assert_merit_never_rises(merit_at, rows, caplog):
+    """merit_at(r, pi), the merit of row r, does not rise from a row to the
+    next under the penalty of the step between them, but on a penalty reset's
+    step.  Returns the raises and resets."""
+    raises, resets = penalty_updates(caplog)
+    pi = 0.0
+    for r in range(rows - 1):
+        pi = 0.0 if r in resets else raises.get(r, pi)
+        if r not in resets:
+            assert merit_at(r + 1, pi) <= merit_at(r, pi) + 1e-12, r
+    return raises, resets
+
+
+def qp_rows(monkeypatch, caplog, args, kwargs):
+    """Solve with the QPs, the kink tests, the hull elements, the trace rows
+    and the trial points recorded in call order, the log at DEBUG.  Returns
+    the result and per trace row a dict: x, B and d (the row's QP model and
+    step), kink (the row sits at a kink), v (the last hull element taken) and
+    trials (the trial points of the row's searches, in order)."""
+    net, obj, region = args
+    events = []
+
+    def grad_x(y, x):
+        events.append(("x", x.copy(), None))
+        return obj.grad_x(y, x)
+
+    def tap(name, arg):
+        fn = getattr(embedded, name)
+
+        def tapped(*a, **k):
+            out = fn(*a, **k)
+            events.append((name, out if arg is None else np.array(a[arg], dtype=float), a))
+            return out
+        monkeypatch.setattr(embedded, name, tapped)
+
+    for name in ("solve_qp", "_kink_pieces", "min_norm_point", "TraceRecord"):
+        tap(name, None)
+    tap("forward_with_preactivations", 1)
+    with caplog.at_level(logging.DEBUG, logger=embedded.__name__):
+        res, _ = embedded_solve(net, SmoothObjective(obj.value, grad_x, obj.grad_y), region,
+                                **kwargs)
+    # the row's QP comes just before its trace row; a kink row's face QP after
+    rows, x = [], None
+    for i, (name, out, a) in enumerate(events):
+        if name == "x":
+            x = out
+        elif name == "solve_qp" and events[i + 1][0] == "TraceRecord":
+            rows.append(dict(x=x, B=np.array(a[0]), d=np.zeros(x.size) if out is None else out.x,
+                             kink=False, v=None, trials=[]))
+        elif name == "_kink_pieces" and rows:
+            rows[-1]["kink"] |= out is not None
+        elif name == "min_norm_point" and rows:
+            rows[-1]["v"] = out[0]
+        elif name == "forward_with_preactivations" and rows:
+            rows[-1]["trials"].append(out)
+    return res, rows
+
+
+def qp_trials(row, region):
+    """How many of the row's first trials are the QP step's search, x + t d
+    clipped to the box for t = 1, 1/2, ..."""
+    x, d, k = row["x"], row["d"], 0
+    while k < len(row["trials"]) and np.array_equal(
+            row["trials"][k], np.minimum(np.maximum(x + 0.5 ** k * d, region.lower),
+                                         region.upper)):
+        k += 1
+    return k
+
+
+def spg_initial_step(dual):
+    """SPG's initial step 1 / |x - P(x - v)| (Birgin, Martinez & Raydan 2000)."""
+    return min(max(1.0 / dual, 1e-12), 1e8) if dual > 0.0 else 1.0
+
+
 @pytest.mark.parametrize("seed, dims", [(11, [3, 12, 1]), (3, [4, 12, 1]), (34, [4, 12, 1])],
                          ids=["11-3-12-1", "3-4-12-1", "34-4-12-1"])
 def test_merit_does_not_increase_between_penalty_raises(caplog, seed, dims):
@@ -450,17 +524,39 @@ def test_merit_does_not_increase_between_penalty_raises(caplog, seed, dims):
     args, kwargs = seeded_instance(seed, dims)
     with caplog.at_level(logging.DEBUG, logger=embedded.__name__):
         res, trace = embedded_solve(*args, **kwargs)
-    raises, resets = penalty_updates(caplog)
+    raises, _ = assert_merit_never_rises(lambda r, pi: merit(trace[r], pi), len(trace), caplog)
     assert len(raises) >= 2
     assert max(t.primal_infeasibility for t in trace) > embedded.DEFAULT_TOL
-    pi = 0.0
-    for r in range(len(trace) - 1):
-        pi = 0.0 if r in resets else raises.get(r, pi)
-        if r not in resets:
-            assert merit(trace[r + 1], pi) <= merit(trace[r], pi) + 1e-12, r
 
 
-def test_budget_exit_returns_the_lowest_merit_iterate_since_the_last_raise(caplog):
+# the augmented-Lagrangian loop ended these attacks Stalled at a feasible kink
+# point, at these objectives; the values are that loop's and stay fixed
+@pytest.mark.parametrize("seed, value", [(9, 0.2942447509703291),
+                                         (10, 0.29429727963382246),
+                                         (17, 0.29406762315464985)])
+def test_constrained_line_search_is_monotone_until_the_first_update(monkeypatch, caplog,
+                                                                    seed, value):
+    # each attack starts infeasible and raises its penalty several times: the
+    # merit f + pi * sum(max(0, c)) never rises until pi's next update, a
+    # penalty reset's step aside, and the solve ends below the loop's stall
+    args, kwargs = member_six_attack(seed)
+    net, obj, cons = args[0], args[1], kwargs["constraints"]
+    res, rows = qp_rows(monkeypatch, caplog, args, kwargs)
+
+    def merit_at(r, pi):
+        x = rows[r]["x"]
+        y = forward(net, x)
+        return obj.value(y, x) + pi * float(np.maximum(cons.value(y, x), 0.0).sum())
+
+    raises, _ = assert_merit_never_rises(merit_at, len(rows), caplog)
+    assert len(raises) >= 2
+    assert res.status is Status.OPTIMAL
+    assert res.objective < value
+
+
+def test_budget_exit_returns_the_lowest_point_of_the_last_inner_solve(caplog):
+    # between two penalty raises the solve minimizes one merit, its inner
+    # solve: a budget exit returns the lowest-merit iterate since the last raise
     args, kwargs = seeded_instance(11, [3, 12, 1])
     net, obj = args[0], args[1]
     cons = kwargs["constraints"]
@@ -477,8 +573,8 @@ def test_budget_exit_returns_the_lowest_merit_iterate_since_the_last_raise(caplo
     assert res.status is (Status.STALLED if c <= embedded.DEFAULT_TOL else Status.LIMIT)
 
 
-def test_penalty_raises_resets_and_relaxed_qps_are_logged_at_debug(caplog):
-    # this attack's linearized constraints become inconsistent in a locally
+def test_outer_updates_are_logged_at_debug(caplog):
+    # the outer updates are the penalty's raises and resets; this attack's linearized constraints become inconsistent in a locally
     # infeasible basin, which the solve leaves by a penalty reset
     args, kwargs = member_six_attack(60)
     with caplog.at_level(logging.INFO, logger=embedded.__name__):
@@ -519,32 +615,108 @@ def test_zero_step_with_no_state_change_ends_at_once(caplog):
                for r in caplog.records)
 
 
-def test_failed_qp_step_at_a_kink_tries_the_hull_step_next(monkeypatch):
+def test_first_step_is_spg_initial_step(monkeypatch):
     # f = |x1| + 0.5 x1 + 0.1 x2 from the kink (0, 0): the QP step follows the
     # piece with both neurons off, (-0.5, -0.1), along which f climbs; the
-    # hull of the three pieces' gradients has min-norm element v = (0, 0.1)
+    # hull of the three pieces' gradients has min-norm element v = (0, 0.1),
+    # and the first step along it is SPG's initial step
     net = Network((Layer([[1.0, 0.0], [-1.0, 0.0]], [0.0, 0.0], RELU),
                    Layer([[1.0, 1.0]], [0.0], LIN)))
     obj = SmoothObjective(value=lambda y, x: float(y[0] + 0.5 * x[0] + 0.1 * x[1]),
                           grad_x=lambda y, x: np.array([0.5, 0.1]),
                           grad_y=lambda y, x: np.ones(1))
-    trials = []
-    real = embedded.forward_with_preactivations
+    trials, hull = [], []
+    real, mnp = embedded.forward_with_preactivations, embedded.min_norm_point
 
     def recording(net, x):
         trials.append(np.array(x, dtype=float))
         return real(net, x)
 
+    def hull_element(P):
+        out = mnp(P)
+        hull.append(out[0])
+        return out
+
     monkeypatch.setattr(embedded, "forward_with_preactivations", recording)
-    res, trace = embedded_solve(net, obj, BoxRegion([-1.0, -1.0], [1.0, 1.0]), start=[0.0, 0.0])
+    monkeypatch.setattr(embedded, "min_norm_point", hull_element)
+    box = BoxRegion([-1.0, -1.0], [1.0, 1.0])
+    res, trace = embedded_solve(net, obj, box, start=[0.0, 0.0])
     qp = [p for p in trials[1:] if p[0] != 0.0]
     assert qp and all(p[0] < 0.0 and p[1] == pytest.approx(0.2 * p[0], rel=1e-12) for p in qp)
-    # the first trial after the QP's: x - t v, projected onto the box
-    after = trials[1 + len(qp)]
-    assert after[0] == 0.0 and after[1] < 0.0
+    # the first trial after the QP's: x - t v, projected onto the box, with
+    # t = 1 / |x - P(x - v)|
+    v = hull[0]
+    assert v == pytest.approx([0.0, 0.1], abs=1e-12)
+    x = np.zeros(2)
+    dual = float(np.abs(x - box.project(x - v)).max())
+    assert_same_bits(trials[1 + len(qp)], box.project(x - spg_initial_step(dual) * v))
     assert res.status is Status.STALLED
     assert res.point == {0: 0.0, 1: -1.0} and res.objective == pytest.approx(-0.1)
     assert trace[0].dual_infeasibility > embedded.DEFAULT_TOL
+
+
+# member_six_attack(2) raises its penalty and fails a search at a kink;
+# seeded_instance(12, [2, 8, 1]) fails a search at a kink with no raise
+@pytest.mark.parametrize("instance, stepped_after", [
+    (lambda: member_six_attack(2), {"raise", "failed search"}),
+    (lambda: seeded_instance(12, [2, 8, 1]), {"failed search"}),
+], ids=["member_six_attack-2", "seeded_instance-12"])
+def test_step_restarts_at_the_start_after_penalty_raises_and_failed_searches(
+        monkeypatch, caplog, instance, stepped_after):
+    # every search of a QP step starts from the full step, t = 1; only at a
+    # kink may a row's first trial be another search's
+    args, kwargs = instance()
+    _, rows = qp_rows(monkeypatch, caplog, args, kwargs)
+    raises, _ = penalty_updates(caplog)
+    seen, failed = set(), False
+    for r, row in enumerate(rows):
+        if row["trials"]:
+            full = qp_trials(row, args[2]) > 0
+            assert full or row["kink"], r
+            if full and r in raises:
+                seen.add("raise")
+            if full and failed:
+                seen.add("failed search")
+        failed = r + 1 < len(rows) and np.array_equal(rows[r + 1]["x"], row["x"])
+    assert stepped_after <= seen
+
+
+# the swish seeded_instance(3, [3, 12, 1]) takes quasi-Newton steps from its
+# start on; the ReLU instances step from kink iterates, and member_six_attack(2)
+# fails a search at one
+@pytest.mark.parametrize("instance, fresh_after", [
+    (lambda: member_six_attack(2), {"start", "failed search", "kink"}),
+    (lambda: seeded_instance(3, [3, 12, 1], "swish"), {"start"}),
+    (lambda: seeded_instance(2, [2, 6, 6, 1]), {"start", "kink"}),
+], ids=["member_six_attack-2", "seeded_instance-3-swish", "seeded_instance-2"])
+def test_first_step_of_each_inner_solve_and_after_a_kink_is_spg(
+        monkeypatch, caplog, instance, fresh_after):
+    # the BFGS model starts as the identity, at the start and after a failed
+    # search, so that QP's step is the projected gradient step of the
+    # linearized problem; after a failed QP search at a kink the first trial
+    # is SPG's initial step along -v, v the min-norm hull element
+    args, kwargs = instance()
+    region = args[2]
+    _, rows = qp_rows(monkeypatch, caplog, args, kwargs)
+    eye = np.eye(rows[0]["x"].size)
+    seen, quasi_newton = set(), 0
+    fresh = "start"  # why B is the identity at this row, or None
+    for r, row in enumerate(rows):
+        x = row["x"]
+        if fresh:
+            assert np.array_equal(row["B"], eye), (r, fresh)
+            seen.add(fresh)
+        elif not np.array_equal(row["B"], eye):
+            quasi_newton += 1
+        k = qp_trials(row, region)
+        if row["kink"] and k < len(row["trials"]):
+            v = row["v"]
+            dual = float(np.abs(x - region.project(x - v)).max())
+            assert_same_bits(row["trials"][k], region.project(x - spg_initial_step(dual) * v))
+            seen.add("kink")
+        failed = r + 1 < len(rows) and np.array_equal(rows[r + 1]["x"], x)
+        fresh = "failed search" if failed else None
+    assert fresh_after <= seen and quasi_newton > 0
 
 
 # the seeds of a FOUND note: each ran the whole 3,000-iteration budget to
