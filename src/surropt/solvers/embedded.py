@@ -45,7 +45,10 @@ step.
 
 Per iteration the solver solves one QP, and the face QP too at a kink
 iterate; it runs one forward pass per line-search trial point and one network
-Jacobian per accepted step, built from that pass's preactivations.  Each
+Jacobian per accepted step, built from that pass's preactivations.  The
+solver carries B's inverse H through the same updates (the BFGS inverse
+update by the damped pair), so a QP takes one Cholesky factor of H and never
+inverts B; the face QP takes the same H.  Each
 penalty raise and reset, each relaxed QP and each stop at a kink is logged at
 DEBUG on this module's logger.
 """
@@ -233,7 +236,7 @@ def _kink_pieces(net: Network, preacts, gx, gy):
     and past ``KINK_CAP`` such neurons.
     """
     hidden = preacts[:-1]
-    if all(np.abs(a).min() > KINK_RADIUS for a in hidden):
+    if all(np.minimum.reduce(np.abs(a)) > KINK_RADIUS for a in hidden):
         return None
     near = [(np.abs(a) <= KINK_RADIUS).nonzero()[0] for a in hidden]
     k = sum(ix.size for ix in near)
@@ -317,11 +320,11 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         return gx + J.T @ gy, cx + cy @ J, (gx, gy, cx, cy)
 
     def measure(x, d):
-        return float(np.abs(x - region.project(x - d)).max(initial=0.0))
+        return float(np.maximum.reduce(np.abs(x - region.project(x - d)), initial=0.0))
 
     traces = []
     it = 0
-    B = np.eye(n)
+    B = H = np.eye(n)  # the model and its inverse
     fresh = True  # B is the identity: no pair has updated it since the start or a reset
     pi = 0.0  # the merit's penalty
     working = None  # the last QP's working set, the next one's warm start
@@ -338,14 +341,14 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         rows = np.vstack((Jc, A)) if A.size else Jc
         rhs = np.concatenate((-c, np.maximum(b - A @ x, 0.0))) if A.size else -c
         qp = solve_qp(B, g, rows, rhs, np.minimum(lower - x, 0.0),
-                      np.maximum(upper - x, 0.0), active=working, relax=True)
+                      np.maximum(upper - x, 0.0), active=working, relax=True, H=H)
         if qp is None:  # the relaxed QP failed too: no step, the last multipliers
             d = np.zeros(n)
             lam = lam if lam.size else np.zeros(c.size)
         else:
             d, lam, working = qp.x, qp.y[:c.size], qp.active
         gl = g + Jc.T @ lam if lam.size else g
-        primal = float(c.max(initial=0.0)) + 0.0  # + 0.0 turns a -0.0 into 0.0
+        primal = float(np.maximum.reduce(c, initial=0.0)) + 0.0  # + 0.0 turns a -0.0 into 0.0
         dual = measure(x, gl)
         traces.append(TraceRecord(it, fval, primal, dual))
         it += 1
@@ -359,7 +362,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             G, a = _kink_rows(net, preacts)
             face = solve_qp(B, g, np.vstack((rows, G, -G)), np.concatenate((rhs, -a, a)),
                             np.minimum(lower - x, 0.0), np.maximum(upper - x, 0.0),
-                            relax=True)
+                            relax=True, H=H)
             if c.size and face is not None and face.relaxation == 0.0:
                 mu = face.y[:c.size]
                 kink = _kink_pieces(net, preacts, gx + cx.T @ mu, gy + cy.T @ mu)
@@ -375,7 +378,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             break
         if qp is not None and qp.relaxation > 0.0:
             log.debug("relaxed QP at iteration %d: xi=%.3e", it - 1, qp.relaxation)
-        lam_max = float(lam.max(initial=0.0))
+        lam_max = float(np.maximum.reduce(lam, initial=0.0))
         if pi < 1.5 * lam_max:
             pi = 2.0 * lam_max
             log.debug("penalty raise at iteration %d: pi=%.17g", it - 1, pi)
@@ -391,7 +394,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             for _ in range(MAX_HALVINGS):
                 x_try = point(t)
                 s = x_try - x
-                if not s.any() or t * length <= floor:
+                if not np.logical_or.reduce(s) or t * length <= floor:
                     return None
                 trial = evaluate(x_try)
                 if trial[3] + pi * trial[4] <= phi + ARMIJO * decrease(t, s):
@@ -405,7 +408,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             if not D < 0.0:
                 return None
             return search(lambda t: np.minimum(np.maximum(x + t * d, lower), upper),
-                          lambda t, s: t * D, float(np.abs(d).max()))
+                          lambda t, s: t * D, float(np.maximum.reduce(np.abs(d))))
 
         step = qp_search(d)
         if step is None and kink is not None:
@@ -425,7 +428,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         accepted = step is not None
         if accepted:
             x_try, trial = step
-        if not accepted and fresh and primal > tol and d.any():
+        if not accepted and fresh and primal > tol and np.logical_or.reduce(d):
             # an infeasible point where even a fresh model's step fails is a
             # local minimum of the merit: take the full step regardless and
             # restart the penalty from 0
@@ -435,19 +438,20 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             pi = 0.0
             log.debug("penalty reset at iteration %d: full step from an infeasible stall", it - 1)
         if not accepted:
-            if fresh or not d.any():
+            if fresh or not np.logical_or.reduce(d):
                 break  # every later iteration would repeat this one
-            B, fresh = np.eye(n), True
+            B = H = np.eye(n)
+            fresh = True
             continue
         grads_new = derivatives(x_try, trial)
         s = x_try - x
         if kink is None:
             gl_new = grads_new[0] + grads_new[1].T @ lam if lam.size else grads_new[0]
-            B, fresh = _damped_bfgs(B, s, gl_new - gl, fresh)
+            B, H, fresh = _damped_bfgs(B, H, s, gl_new - gl, fresh)
         x, parts, grads = x_try, trial, grads_new
     else:
         if traces:  # the budget ran out: judge the point the last step reached
-            primal = float(parts[2].max(initial=0.0)) + 0.0
+            primal = float(np.maximum.reduce(parts[2], initial=0.0)) + 0.0
             dual = measure(x, grads[0] + grads[1].T @ lam if lam.size else grads[0])
 
     y = forward(net, x)
@@ -466,20 +470,28 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
     return res, traces
 
 
-def _damped_bfgs(B, s, yv, fresh):
-    """Powell's (1978) damped BFGS update of B by the pair (s, yv): yv is
-    replaced by r = theta yv + (1 - theta) B s, with theta the largest value
-    in [0, 1] that keeps s'r >= 0.2 s'B s, so B stays positive definite.  A
-    fresh identity is first scaled by yv'yv / s'yv (Nocedal & Wright 2006,
-    eq. 6.20).  Returns (B, fresh)."""
+def _damped_bfgs(B, H, s, yv, fresh):
+    """Powell's (1978) damped BFGS update of B by the pair (s, yv), and of its
+    inverse H: yv is replaced by r = theta yv + (1 - theta) B s, with theta
+    the largest value in [0, 1] that keeps s'r >= 0.2 s'B s, so B stays
+    positive definite, and H takes the BFGS inverse update by (s, r),
+    (I - rho s r') H (I - rho r s') + rho s s' with rho = 1 / s'r.  A fresh
+    identity is first scaled by yv'yv / s'yv (Nocedal & Wright 2006, eq.
+    6.20).  Returns (B, H, fresh)."""
     sy = float(s @ yv)
     if fresh and sy > 0.0:
-        B = (float(yv @ yv) / sy) * np.eye(s.size)
+        scale = float(yv @ yv) / sy
+        B, H = scale * np.eye(s.size), np.eye(s.size) / scale
     Bs = B @ s
     sBs = float(s @ Bs)
     if not sBs > 0.0:
-        return B, fresh
+        return B, H, fresh
     theta = 1.0 if sy >= 0.2 * sBs else 0.8 * sBs / (sBs - sy)
     r = theta * yv + (1.0 - theta) * Bs
-    B = B - np.outer(Bs, Bs / sBs) + np.outer(r, r / float(s @ r))
-    return 0.5 * (B + B.T), False
+    sr = float(s @ r)
+    B = B - Bs[:, None] * (Bs / sBs) + r[:, None] * (r / sr)
+    rho = 1.0 / sr
+    # H's update as H + (s t' + t s'), which is symmetric bit for bit
+    Hr = H @ r
+    st = s[:, None] * ((0.5 * rho * (rho * float(r @ Hr) + 1.0)) * s - rho * Hr)
+    return 0.5 * (B + B.T), H + (st + st.T), False

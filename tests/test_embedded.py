@@ -30,6 +30,7 @@ from surropt.solvers.embedded import (
     PolytopeRegion,
     SmoothConstraints,
     SmoothObjective,
+    _damped_bfgs,
     _dnn_jacobian,
     embedded_solve,
 )
@@ -910,3 +911,30 @@ def test_budget_must_be_an_integer_of_at_least_zero(max_iter):
         embedded_solve(*swish_descent(1), max_iter=max_iter)
     res, trace = embedded_solve(*swish_descent(1), max_iter=np.int64(0))
     assert res.status is Status.LIMIT and res.iterations == 0 and not trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10),
+       st.lists(st.sampled_from(["curved", "damped", "negative", "fresh"]), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_damped_bfgs_carries_the_inverse(n, kinds, seed):
+    # pairs of full curvature, damped pairs (0 < s'y < 0.2 s'Bs), pairs with
+    # s'y <= 0, and a reset to a fresh identity before a pair
+    rng = np.random.default_rng(seed)
+    B = H = np.eye(n)
+    fresh = True
+    for kind in kinds:
+        if kind == "fresh":
+            B = H = np.eye(n)
+            fresh = True
+        s = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 1.0)
+        Bs = B @ s
+        off = rng.normal(size=n)
+        off -= (off @ s) / (s @ s) * s  # orthogonal to s: leaves s'y alone
+        off *= 0.5 * np.linalg.norm(Bs) / np.linalg.norm(off)
+        scale = {"curved": rng.uniform(0.5, 2.0), "fresh": rng.uniform(0.5, 2.0),
+                 "damped": rng.uniform(0.01, 0.19), "negative": -rng.choice([0.0, rng.uniform(0.0, 1.0)])}[kind]
+        B, H, fresh = _damped_bfgs(B, H, s, scale * Bs + off, fresh)
+        assert not fresh
+        assert np.array_equal(B, B.T) and np.array_equal(H, H.T)
+        assert np.linalg.norm(H @ B - np.eye(n), 2) <= 1e-8 * np.linalg.cond(B)

@@ -2,6 +2,7 @@
 problems: KKT conditions, warm starts, dependent rows and the relaxation."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surropt.solvers.qp import relax_weight, solve_qp
+
+from conftest import assert_same_bits
 
 TOL = 1e-8
 
@@ -127,3 +130,112 @@ def test_non_finite_input_gives_no_solution(bad):
     else:
         g = g * np.inf
     assert solve_qp(B, g, np.zeros((0, 2)), np.zeros(0), -np.ones(2), np.ones(2)) is None
+
+
+def draw_scaled_qp(rng, n, m, spread, box_heavy, near):
+    """A QP at the embedded solver's scale: B with eigenvalues spread over
+    10**-spread[0] .. 10**spread[1], every variable boxed, and with
+    ``near`` a row pair at that angle.  ``box_heavy`` pushes the
+    unconstrained minimizer past the box in every coordinate, so that
+    n constraints hold at the optimum."""
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    eig = np.logspace(-spread[0], spread[1], n)
+    B = (Q * eig) @ Q.T
+    B = 0.5 * (B + B.T)
+    g = rng.normal(size=n)
+    if box_heavy:
+        g = 1e3 * np.sign(g) * (1.0 + np.abs(g)) * eig.max()
+    C = rng.normal(size=(m, n))
+    h = rng.uniform(-0.5, 1.0, m)
+    if near is not None and m >= 2 and n >= 2:
+        # row 1 is row 0 turned by the angle near in a random plane, with
+        # the same distance from the origin or a little more
+        u = rng.normal(size=n)
+        c0 = C[0] / np.linalg.norm(C[0])
+        u -= (u @ c0) * c0
+        u /= np.linalg.norm(u)
+        C[1] = np.cos(near) * c0 + np.sin(near) * u
+        h[1] = h[0] / np.linalg.norm(C[0]) + rng.choice([0.0, near, 1e-3])
+    lower, upper = rng.uniform(-2.0, -0.1, n), rng.uniform(0.1, 2.0, n)
+    return B, g, C, h, lower, upper
+
+
+def stale_set(rng, sol, other, m, n):
+    """A warm start that no longer fits: the answer's working set with ids
+    added or removed, or another QP's set."""
+    kind = rng.integers(3)
+    if kind == 0 or sol is None:
+        return other
+    W = list(sol.active)
+    if kind == 1:
+        return W + rng.integers(0, m + 2 * n, size=rng.integers(1, 6)).tolist()
+    keep = rng.random(len(W)) < 0.5
+    return [k for k, kept in zip(W, keep) if kept]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 48), st.integers(0, 24), st.integers(0, 6), st.integers(0, 4),
+       st.booleans(), st.sampled_from([None, 1e-6, 1e-8, 1e-10, 1e-12]),
+       st.integers(0, 2**32 - 1))
+def test_qp_at_scale_meets_kkt_and_warm_starts_agree(n, m, lo, hi, box_heavy, near, seed):
+    rng = np.random.default_rng(seed)
+    B, g, C, h, lower, upper = qp = draw_scaled_qp(rng, n, m, (lo, hi), box_heavy, near)
+    cold = solve_qp(*qp)
+    if cold is not None:
+        assert_kkt(*qp, cold)
+        if box_heavy and m == 0:
+            assert len(cold.active) == n
+    other = solve_qp(*draw_scaled_qp(rng, n, m, (lo, hi), box_heavy, near))
+    starts = [cold.active if cold is not None else (), other.active if other is not None else ()]
+    starts += [stale_set(rng, cold, starts[1], m, n) for _ in range(3)]
+    for active in starts:
+        warm = solve_qp(*qp, active=active)
+        if warm is None:
+            assert cold is None
+            continue
+        assert_kkt(*qp, warm)
+        if cold is not None:
+            np.testing.assert_allclose(warm.x, cold.x, rtol=0.0,
+                                       atol=1e-7 * (1.0 + np.abs(cold.x).max()))
+
+
+def test_step_cap_gives_no_solution_without_relaxing(monkeypatch, caplog):
+    # a feasible QP that needs one dual step, with no dual step allowed
+    from surropt.solvers import qp
+    calls = []
+    inner = qp._dual_active_set
+    monkeypatch.setattr(qp, "_dual_active_set", lambda *a: calls.append(a) or inner(*a))
+    monkeypatch.setattr(qp, "STEP_CAP", 0)
+    args = (np.eye(2), np.array([1.0, 1.0]), [[-1.0, 0.0]], [-0.5], [-1.0, -1.0], [1.0, 1.0])
+    with caplog.at_level(logging.DEBUG, logger=qp.__name__):
+        assert solve_qp(*args, relax=True) is None
+    assert len(calls) == 1  # the relaxed QP never ran
+    assert [r.getMessage() for r in caplog.records] == [
+        "QP step cap: 0 dual steps taken, 1 rows, 2 variables; no solution"]
+    monkeypatch.undo()
+    assert solve_qp(*args, relax=True).relaxation == 0.0
+
+
+@pytest.mark.parametrize("a", [[], [-0.0], [0.0, -0.0], [-0.0, 0.0], [-1.0, -0.0], [np.nan, 1.0],
+                               [1.0, np.nan], [-np.inf, -2.0], [[0.0, -3.0], [np.nan, 0.5]],
+                               [[-0.0, 0.0]], np.zeros((0, 3))])
+def test_ufunc_reduces_give_the_array_methods_bits(a):
+    # the solvers call the ufunc reduces, which skip the methods' Python
+    # frame: same bits on empty inputs, with initial=, NaN and -0.0
+    a = np.asarray(a, dtype=float)
+    flat = None if a.ndim > 1 else 0
+    for got, want in [(np.logical_or.reduce(a, axis=flat), a.any()),
+                      (np.logical_and.reduce(a, axis=flat), a.all()),
+                      (np.logical_or.reduce(a > 0.0, axis=flat), (a > 0.0).any()),
+                      (np.logical_and.reduce(a >= 0.0, axis=flat), (a >= 0.0).all()),
+                      (np.maximum.reduce(a, axis=flat, initial=0.0), a.max(initial=0.0)),
+                      (np.minimum.reduce(a, axis=flat, initial=np.inf), a.min(initial=np.inf))]:
+        assert type(got) is type(want)
+        assert_same_bits(got, want)
+    if a.size:
+        assert_same_bits(np.maximum.reduce(a, axis=flat), a.max())
+        assert_same_bits(np.minimum.reduce(a, axis=flat), a.min())
+    else:
+        for reduce in (np.maximum.reduce, np.minimum.reduce, np.ndarray.max, np.ndarray.min):
+            with pytest.raises(ValueError):
+                reduce(a)
