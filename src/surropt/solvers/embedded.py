@@ -48,8 +48,7 @@ iterate; it runs one forward pass per line-search trial point and one network
 Jacobian per accepted step, built from that pass's preactivations.  The
 solver carries B's inverse H through the same updates (the BFGS inverse
 update by the damped pair), so a QP takes one Cholesky factor of H and never
-inverts B; the face QP takes the same H.  Each
-penalty raise and reset, each relaxed QP and each stop at a kink is logged at
+inverts B; the face QP takes the same H.  Each penalty raise and reset, each relaxed QP and each stop at a kink is logged at
 DEBUG on this module's logger.
 """
 
@@ -340,8 +339,8 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         # as rows, the box as bounds; 0 satisfies all but the former
         rows = np.vstack((Jc, A)) if A.size else Jc
         rhs = np.concatenate((-c, np.maximum(b - A @ x, 0.0))) if A.size else -c
-        qp = solve_qp(B, g, rows, rhs, np.minimum(lower - x, 0.0),
-                      np.maximum(upper - x, 0.0), active=working, relax=True, H=H)
+        qp = solve_qp(B, H, g, rows, rhs, np.minimum(lower - x, 0.0),
+                      np.maximum(upper - x, 0.0), active=working, relax=True)
         if qp is None:  # the relaxed QP failed too: no step, the last multipliers
             d = np.zeros(n)
             lam = lam if lam.size else np.zeros(c.size)
@@ -360,9 +359,9 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
             # order; its multipliers, not those of the piece the plain QP
             # linearizes, weigh the constraints in the hull's pieces
             G, a = _kink_rows(net, preacts)
-            face = solve_qp(B, g, np.vstack((rows, G, -G)), np.concatenate((rhs, -a, a)),
+            face = solve_qp(B, H, g, np.vstack((rows, G, -G)), np.concatenate((rhs, -a, a)),
                             np.minimum(lower - x, 0.0), np.maximum(upper - x, 0.0),
-                            relax=True, H=H)
+                            relax=True)
             if c.size and face is not None and face.relaxation == 0.0:
                 mu = face.y[:c.size]
                 kink = _kink_pieces(net, preacts, gx + cx.T @ mu, gy + cy.T @ mu)
@@ -451,7 +450,7 @@ def embedded_solve(net: Network, objective: SmoothObjective, region,
         x, parts, grads = x_try, trial, grads_new
     else:
         if traces:  # the budget ran out: judge the point the last step reached
-            primal = float(np.maximum.reduce(parts[2], initial=0.0)) + 0.0
+            primal = float(parts[2].max(initial=0.0)) + 0.0
             dual = measure(x, grads[0] + grads[1].T @ lam if lam.size else grads[0])
 
     y = forward(net, x)

@@ -13,15 +13,18 @@ drops its constraints of negative multiplier one at a time, then proceeds as
 from a cold start.
 
 The method carries its own factors (Goldfarb & Idnani 1983, sec. 4): J with
-J J' = B^-1 and J'N = [R; 0] for the working normals N, and R^-1.  Each QP
-factors its warm working set once, from a Cholesky factor of B^-1 (``H``
-when the caller carries B's inverse) and one QR; then an added constraint
-costs one Householder reflection of J's trailing columns and a dropped one a
+J J' = B^-1 and J'N = [R; 0] for the working normals N, and R^-1.  The caller
+passes B's inverse H with B, and each QP factors its warm working set once,
+from H's Cholesky factor and one QR; then an added constraint costs one
+Householder reflection of J's trailing columns and a dropped one a
 reflection of its leading columns that leaves R^-1's last row to go, so a
-dual step takes matrix-vector products only.  The working set's point and
-multipliers, at the warm start and at the end, come from one Newton step of
-its equality-constrained QP through the factors, on the residual of B
-itself.  Rows are scaled to unit length inside.  A warm working set whose
+dual step takes matrix-vector products only.  An H that rounding has left
+without a Cholesky factor is set aside for a factor of B itself.  The
+working set's point and multipliers come from Newton steps of its
+equality-constrained QP through the factors, on the residual of B itself:
+one at the warm start, and one more once no constraint is violated, which
+leaves only the square of H's error as B's inverse.  Rows are scaled to
+unit length inside.  A warm working set whose
 unit normals are nearly dependent, by a QR of the normals themselves, starts
 cold; a new constraint depends on the working set when its unscaled unit
 row's residual off the working rows' span is at most DEP_TOL.
@@ -76,16 +79,15 @@ class _StepCap(Exception):
 
 def relax_weight(B):
     """The weight w of 0.5 w xi^2 in a relaxed QP: on the scale of B."""
-    return max(1.0, float(np.maximum.reduce(np.diagonal(B), initial=0.0)))
+    return max(1.0, float(np.diagonal(B).max(initial=0.0)))
 
 
-def solve_qp(B, g, C, h, lower, upper, active=None, relax=False, H=None):
+def solve_qp(B, H, g, C, h, lower, upper, active=None, relax=False):
     """Minimize 0.5 x'B x + g'x s.t. C x <= h, lower <= x <= upper.
 
-    ``H`` is B's inverse when the caller has it; without it the solver
-    computes a factor of the inverse from B.  Returns a QPSolution, or None
-    when the QP is infeasible (with ``relax``, when the relaxed QP is too),
-    or when it runs out of dual steps.
+    ``H`` is B's inverse as the caller carries it.  Returns a QPSolution, or
+    None when the QP is infeasible (with ``relax``, when the relaxed QP is
+    too), or when it runs out of dual steps.
     """
     B = np.asarray(B, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
@@ -95,15 +97,11 @@ def solve_qp(B, g, C, h, lower, upper, active=None, relax=False, H=None):
     lower = np.asarray(lower, dtype=float).reshape(-1)
     upper = np.asarray(upper, dtype=float).reshape(-1)
     m = h.size
-    finite = np.isfinite
-    if not (np.logical_and.reduce(finite(B), axis=None) and np.logical_and.reduce(finite(g))
-            and np.logical_and.reduce(finite(C), axis=None) and np.logical_and.reduce(finite(h))
-            and (H is None or np.logical_and.reduce(finite(H), axis=None))):
+    if not (np.isfinite(B).all() and np.isfinite(g).all() and np.isfinite(C).all()
+            and np.isfinite(h).all()):
         return None
-    # J0 with J0 J0' = B^-1: H's Cholesky factor, or L^-T for B = L L'
-    J0 = (np.linalg.inv(np.linalg.cholesky(B)).T if H is None
-          else np.linalg.cholesky(np.asarray(H, dtype=float)))
-    norm = np.sqrt(np.add.reduce(C * C, axis=1))  # np.linalg.norm's bits, without its checks
+    J0 = _inverse_factor(B, np.asarray(H, dtype=float))
+    norm = np.linalg.norm(C, axis=1)
     norm[norm == 0.0] = 1.0
     Cs, hs = C / norm[:, None], h / norm
     try:
@@ -137,12 +135,25 @@ def solve_qp(B, g, C, h, lower, upper, active=None, relax=False, H=None):
     return QPSolution(x, y / norm, z, W)
 
 
+def _inverse_factor(B, H):
+    """J0 with J0 J0' = B^-1: H's Cholesky factor, or L^-T for B = L L' when
+    H has none (rounding has left it indefinite, or it is not finite).
+    Raises LinAlgError when B is not positive definite either."""
+    if np.isfinite(H).all():
+        try:
+            return np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            pass
+    log.debug("B's inverse without a Cholesky factor: factoring B")
+    return np.linalg.inv(np.linalg.cholesky(B)).T
+
+
 def _independent(N):
     """Whether the unit columns of N are independent: every diagonal entry of
     R in N = QR above DEP_TOL, in N's own conditioning (the raw QR holds R
     in its upper triangle, transposed)."""
-    return N.shape[1] <= N.shape[0] and float(np.minimum.reduce(
-        np.abs(np.linalg.qr(N, mode="raw")[0].diagonal()))) > DEP_TOL
+    return N.shape[1] <= N.shape[0] and float(
+        np.abs(np.linalg.qr(N, mode="raw")[0].diagonal()).min()) > DEP_TOL
 
 
 def _dual_active_set(B, J0, g, C, h, lower, upper, active):
@@ -211,21 +222,21 @@ def _dual_active_set(B, J0, g, C, h, lower, upper, active):
     while W and not float(np.minimum.reduce(lam)) >= 0.0:
         Rinv, keep = drop(int(lam.argmin()))
         x, lam = point(x, lam[keep])
-    exact = True  # x is the working set's point
+    refined = False  # whether x has taken a Newton step since its last dual step
     steps = STEP_CAP * (m + 2 * n + 5)
     for _ in range(steps):
         viol = x @ normals - beta
         viol[W] = -np.inf
         p = int(viol.argmax())
         if viol[p] <= tol(x):
-            if W and not exact:
-                exact = True
+            if not refined:
+                refined = True
                 x_new, lam_new = point(x, lam)
                 if np.logical_and.reduce(lam_new >= 0.0):
                     x, lam = x_new, lam_new
                     continue
             break
-        exact = False
+        refined = False
         a = normals[:, p]
         tp = 0.0
         while True:
