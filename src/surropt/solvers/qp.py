@@ -85,9 +85,10 @@ def relax_weight(B):
 def solve_qp(B, H, g, C, h, lower, upper, active=None, relax=False):
     """Minimize 0.5 x'B x + g'x s.t. C x <= h, lower <= x <= upper.
 
-    ``H`` is B's inverse as the caller carries it.  Returns a QPSolution, or
-    None when the QP is infeasible (with ``relax``, when the relaxed QP is
-    too), or when it runs out of dual steps.
+    ``H`` is B's inverse as the caller carries it, symmetric: its Cholesky
+    factor reads the lower triangle only.  Returns a QPSolution, or None
+    when the QP is infeasible (with ``relax``, when the relaxed QP is too),
+    or when it runs out of dual steps.
     """
     B = np.asarray(B, dtype=float)
     g = np.asarray(g, dtype=float).reshape(-1)
